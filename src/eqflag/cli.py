@@ -1,7 +1,8 @@
 """Command-line front-end: JSON in, reports out.
 
 Exit codes: 0 = success / all checks pass, 1 = a verification check found a
-counterexample, 2 = input error, 3 = numerical failure.  With --json the
+counterexample, 2 = input error (also any library error on the input, such as
+a size cap or the group-order bound), 3 = numerical failure.  With --json the
 report is a single JSON document; otherwise it is printed as readable lines.
 The --seed flag affects only character-table numerics, never combinatorial
 output.
@@ -80,25 +81,25 @@ def _load_complex(args):
         raise InputError(f"invalid complex: {err}")
 
 
-def _load_group_for(cx, args, seed):
-    """Group from --group aligned to the complex's vertex order, or the full
-    color automorphism group when no file is given."""
+def _load_group(args, points=None):
+    """The group of the --group file, on the given point order if any."""
+    data = _load_json(args.group, "group")
+    try:
+        if points is not None:
+            if set(data["points"]) != set(points):
+                raise InputError("group points must match the complex vertices")
+            data = dict(data, points=points)
+        return groups.load_group(data, bound=args.bound)
+    except (groups.GroupError, KeyError, TypeError, ValueError) as err:
+        raise InputError(f"invalid group: {err}")
+
+
+def _load_group_for(cx, args):
+    """Group from --group on the complex's vertex order, or the full color
+    automorphism group when no file is given."""
     if args.group:
-        data = _load_json(args.group, "group")
-        try:
-            grp = groups.load_group(data)
-        except (groups.GroupError, KeyError, ValueError) as err:
-            raise InputError(f"invalid group: {err}")
-        if grp.points is None or set(grp.points) != set(cx.vertices):
-            raise InputError("group points must match the complex vertices")
-        reindex = [grp.points.index(v) for v in cx.vertices]
-        back = {j: i for i, j in enumerate(reindex)}
-        elems = [groups.Permutation([back[p(reindex[i])] for i in range(len(reindex))])
-                 for p in grp.generators]
-        grp = groups.close_group(elems, degree=len(cx.vertices), bound=args.bound)
-    else:
-        grp = complexes.color_automorphism_group(cx)
-    return grp
+        return _load_group(args, points=list(cx.vertices))
+    return complexes.color_automorphism_group(cx, bound=args.bound)
 
 
 def _load_graph(args):
@@ -152,7 +153,7 @@ def cmd_validate(args, report):
 def cmd_chartable(args, report):
     if not args.group:
         raise InputError("--group is required")
-    grp = groups.load_group(_load_json(args.group, "group"))
+    grp = _load_group(args)
     table = groups.character_table(grp, seed=args.seed)
     report["order"] = grp.order
     report["classes"] = _class_labels(grp)
@@ -165,7 +166,7 @@ def cmd_chartable(args, report):
 
 def cmd_hilb(args, report):
     cx = _load_complex(args)
-    grp = _load_group_for(cx, args, args.seed)
+    grp = _load_group_for(cx, args)
     action = complexes.GroupAction(cx, grp)
     table = groups.character_table(grp, seed=args.seed)
     basis = args.basis.upper()
@@ -178,7 +179,7 @@ def cmd_hilb(args, report):
 
 def cmd_orbital(args, report):
     cx = _load_complex(args)
-    grp = _load_group_for(cx, args, args.seed)
+    grp = _load_group_for(cx, args)
     action = complexes.GroupAction(cx, grp)
     q = flags.orbital_hilb(cx, action)
     report["orbital"] = {"terms": [{"subset": list(s), "orbits": q.coeff(s).at_identity}
@@ -195,7 +196,7 @@ def cmd_homology(args, report):
         report["restricted_to"] = sorted(s)
     report["betti"] = {str(d): b for d, b in homology.betti(faces).items()}
     if args.group:
-        grp = _load_group_for(cx, args, args.seed)
+        grp = _load_group_for(cx, args)
         traces = homology.equivariant_homology_traces(faces, grp)
         table = groups.character_table(grp, seed=args.seed)
         report["characters"] = {str(d): _character_report(cf, table)
@@ -222,7 +223,7 @@ def cmd_serre(args, report):
 
 def cmd_flags(args, report):
     cx = _load_complex(args)
-    grp = _load_group_for(cx, args, args.seed)
+    grp = _load_group_for(cx, args)
     action = complexes.GroupAction(cx, grp)
     table = groups.character_table(grp, seed=args.seed)
     fv = flags.FlagVectors(cx, action)
@@ -237,7 +238,9 @@ def cmd_flags(args, report):
 
 def cmd_chromatic(args, report):
     g = _load_graph(args)
-    grp = g.automorphism_group()
+    if g.n > mixedgraph.MAX_QSYM_VERTICES:
+        raise mixedgraph.SizeBound(f"capped at {mixedgraph.MAX_QSYM_VERTICES} vertices")
+    grp = g.automorphism_group(bound=args.bound)
     table = groups.character_table(grp, seed=args.seed)
     q = mixedgraph.chromatic_qsym(g, grp)
     report["stats"] = {k: _jsonable(v) for k, v in g.stats().items()}
@@ -282,7 +285,7 @@ def cmd_verify(args, report):
         return 0 if not r["counterexamples"] else 1
     if thm in ("eulerchar2", "intro1", "intro2", "intro3", "interpretation"):
         cx = _load_complex(args)
-        grp = _load_group_for(cx, args, args.seed)
+        grp = _load_group_for(cx, args)
         action = complexes.GroupAction(cx, grp)
         table = groups.character_table(grp, seed=args.seed)
         ell = args.ell if args.ell is not None else serre.serre_depth(cx)
@@ -300,24 +303,30 @@ def cmd_verify(args, report):
         return 0 if r["ok"] else 1
     if thm == "graphtocomplex":
         g = _load_graph(args)
-        r = mixedgraph.verify_graphtocomplex(g)
+        r = mixedgraph.verify_graphtocomplex(g, g.automorphism_group(bound=args.bound))
         report.update(_jsonable(r))
         return 0 if r["ok"] else 1
     if thm == "mixedgraph":
         g = _load_graph(args)
-        table = groups.character_table(g.automorphism_group(), seed=args.seed)
-        r = mixedgraph.verify_mixedgraph_theorem(g, table=table)
+        grp = g.automorphism_group(bound=args.bound)
+        table = groups.character_table(grp, seed=args.seed)
+        r = mixedgraph.verify_mixedgraph_theorem(g, grp, table)
         report.update(_jsonable(r))
         return 0 if r["ok"] else 1
     if thm == "doubleposet":
         dp = _load_dposet(args)
-        grp = dp.automorphism_group()
+        grp = dp.automorphism_group(bound=args.bound)
         table = groups.character_table(grp, seed=args.seed)
         r = doubleposet.verify_doubleposet_theorems(dp, grp, table)
         report.update(_jsonable(r))
         return 0 if r["ok"] else 1
     raise InputError(f"unknown theorem: {thm}")
 
+
+# The base classes of every error the library raises on its own input.
+LIBRARY_ERRORS = (complexes.ComplexError, groups.GroupError, mixedgraph.GraphError,
+                  doubleposet.PosetError, qsym.QSymError, homology.HomologyError,
+                  flags.FlagError)
 
 COMMANDS = {
     "validate": cmd_validate,
@@ -340,7 +349,8 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for character-table numerics only")
-    p.add_argument("--bound", type=int, default=10000, help="group-order bound")
+    p.add_argument("--bound", type=int, default=groups.DEFAULT_ORDER_BOUND,
+                   help="cap on the order of every group the command builds")
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
@@ -401,15 +411,11 @@ def run(argv):
     try:
         code = COMMANDS[args.command](args, report)
     except InputError as err:
-        report["error"] = str(err)
-        report["elapsed"] = round(time.time() - t0, 3)
-        _emit(report, args.json)
-        return 2
+        code, report["error"] = 2, str(err)
     except (groups.RoundingError, groups.NumericalDegeneracy) as err:
-        report["error"] = f"numerical failure: {err}"
-        report["elapsed"] = round(time.time() - t0, 3)
-        _emit(report, args.json)
-        return 3
+        code, report["error"] = 3, f"numerical failure: {err}"
+    except LIBRARY_ERRORS as err:
+        code, report["error"] = 2, f"{type(err).__name__}: {err}"
     report["elapsed"] = round(time.time() - t0, 3)
     _emit(report, args.json)
     return code

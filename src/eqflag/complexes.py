@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .groups import PermGroup, close_group
+from .groups import DEFAULT_ORDER_BOUND, PermGroup, automorphism_search
 
 MAX_VERTICES = 32
 MAX_FACES = 1 << 20
@@ -227,31 +227,10 @@ class GroupAction:
         return out
 
 
-def color_automorphism_group(cx, extra_invariant=None):
-    """Brute-force group of color-preserving face-preserving vertex permutations.
-
-    Candidates are products of per-color bijections; feasible at desk scale.
-    """
-    from itertools import permutations as iperm, product
-
-    from .groups import Permutation
-
-    n = len(cx.vertices)
-    by_color = {}
-    for v in range(n):
-        by_color.setdefault(cx.coloring[v], []).append(v)
-    blocks = list(by_color.values())
-    elements = []
-    for choice in product(*[list(iperm(b)) for b in blocks]):
-        images = list(range(n))
-        for block, img in zip(blocks, choice):
-            for src, dst in zip(block, img):
-                images[src] = dst
-        p = Permutation(images)
-        if all(p.apply_set(f) in cx.faces for f in cx.faces):
-            if extra_invariant is None or extra_invariant(p):
-                elements.append(p)
-    return close_group(elements, degree=n) if elements else close_group([], degree=n)
+def color_automorphism_group(cx, bound=DEFAULT_ORDER_BOUND):
+    """The group of colour-preserving vertex permutations that map Phi onto
+    itself."""
+    return automorphism_search(cx.coloring, [("face", f) for f in cx.faces], bound)
 
 
 def load_complex(data):

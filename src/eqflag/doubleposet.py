@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .groups import close_group
+from .groups import DEFAULT_ORDER_BOUND, automorphism_search, close_group
 from .mixedgraph import (MixedGraph, SizeBound, chromatic_qsym,
                          ordered_set_partitions, partitions_to_qsym)
 
@@ -114,18 +114,11 @@ class DoublePoset:
             out.append(f)
         return out
 
-    def automorphism_group(self):
+    def automorphism_group(self, bound=DEFAULT_ORDER_BOUND):
         """Permutations preserving both orders."""
-        from itertools import permutations
-        from .groups import Permutation
-        elements = []
-        for images in permutations(range(self.n)):
-            p = Permutation(images)
-            if all(self.leq1[a][b] == self.leq1[p(a)][p(b)]
-                   and self.leq2[a][b] == self.leq2[p(a)][p(b)]
-                   for a in range(self.n) for b in range(self.n)):
-                elements.append(p)
-        return close_group(elements, degree=self.n)
+        relations = [(tag, (a, b)) for tag, lt in (("<1", self.lt1), ("<2", self.lt2))
+                     for a in range(self.n) for b in range(self.n) if lt(a, b)]
+        return automorphism_search([0] * self.n, relations, bound)
 
     def __repr__(self):
         return f"DoublePoset(n={self.n})"

@@ -1,10 +1,15 @@
 """Permutation groups, conjugacy classes, characters and class functions.
 
-Groups are given by generators on a finite point set and closed by
-breadth-first multiplication.  Character tables are computed numerically from
-the class-multiplication matrices (random real combination, eigendecomposition)
-and validated against orthogonality; everything downstream that should be an
-integer is rounded with a tight tolerance and cross-checked.
+Groups come from two places.  ``close_group`` closes a generator list under
+multiplication by breadth-first search.  ``automorphism_search`` finds every
+automorphism of a coloured set system by backtracking and keeps a small
+generating set, at most log2 of the order.  Either way a PermGroup holds all
+of its elements and a generating set, and its conjugacy classes are the
+orbits of conjugation by those generators.  Character tables are computed
+numerically from the class-multiplication matrices (random real combination,
+eigendecomposition) and validated against orthogonality; everything
+downstream that should be an integer is rounded with a tight tolerance and
+cross-checked.
 """
 from __future__ import annotations
 
@@ -161,22 +166,30 @@ class PermGroup:
         assert sum(self.class_sizes) == self.order
 
     def _conjugacy_classes(self):
-        remaining = set(self.elements)
+        """Orbits of conjugation by the generators, each sorted, in order of
+        their least element.
+
+        These are the conjugacy classes only because the generators generate
+        the group; every constructor of a PermGroup guarantees that.
+        """
+        gens = [(g.images, g.inverse().images) for g in self.generators]
+        by_images = {g.images: g for g in self.elements}
+        seen = set()
         classes = []
-        while remaining:
-            g = min(remaining)
-            orbit = {g}
-            frontier = [g]
+        for g in self.elements:
+            if g.images in seen:
+                continue
+            orbit = {g.images}
+            frontier = [g.images]
             while frontier:
                 x = frontier.pop()
-                for h in self.elements:
-                    y = h * x * h.inverse()
+                for h, h_inv in gens:
+                    y = tuple(h[x[i]] for i in h_inv)     # h x h^-1
                     if y not in orbit:
                         orbit.add(y)
                         frontier.append(y)
-            remaining -= orbit
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda cls: cls[0].images)
+            seen |= orbit
+            classes.append(tuple(by_images[y] for y in sorted(orbit)))
         return tuple(classes)
 
     @property
@@ -205,19 +218,132 @@ def close_group(generators, degree=None, points=None, bound=DEFAULT_ORDER_BOUND)
     for g in generators:
         if g.degree != degree:
             raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
-    identity = Permutation.identity(degree)
-    elements = {identity}
-    frontier = [identity]
+    elements = _close({tuple(range(degree))}, [g.images for g in generators], bound)
+    return PermGroup(degree, generators, map(Permutation, elements), points=points)
+
+
+def _close(elements, generators, bound):
+    """Close a set of image tuples under left multiplication by generators
+    (image tuples too); raises OrderBoundExceeded past bound elements."""
+    elements = set(elements)
+    frontier = list(elements)
     while frontier:
         x = frontier.pop()
         for g in generators:
-            y = g * x
+            y = tuple(g[i] for i in x)
             if y not in elements:
                 elements.add(y)
                 frontier.append(y)
                 if len(elements) > bound:
                     raise OrderBoundExceeded(f"group order exceeds bound {bound}")
-    return PermGroup(degree, generators, elements, points=points)
+    return elements
+
+
+def automorphism_search(colors, relations, bound=DEFAULT_ORDER_BOUND):
+    """All automorphisms of a coloured set system, as a PermGroup.
+
+    The points are 0..n-1 with n = len(colors).  A relation is a pair
+    (tag, points), where points is a frozenset (a face, an undirected edge)
+    or a tuple (an arc, an order pair).  An automorphism keeps every colour
+    and maps each relation to a relation with the same tag.
+
+    Backtracking over vertex images (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014, without refinement beyond the starting cells):
+    a vertex may only go to a vertex with the same colour and the same
+    multiset of (tag, kind, size, position) over the relations through it.
+    Vertices are assigned smallest cell first, and among those the one that
+    completes the most relations; each relation is checked as soon as its
+    last point has an image.  An element joins the generators only when the
+    generators so far do not already generate it, so there are at most
+    log2 |G| of them.  Raises OrderBoundExceeded once more than bound
+    elements have been found.
+    """
+    n = len(colors)
+    if n == 0:
+        return PermGroup(0, [], [Permutation([])])
+    relations = set(relations)
+    nonempty = [(tag, points) for tag, points in relations if points]
+    through = [[] for _ in range(n)]
+    rels_at = [[] for _ in range(n)]
+    for i, (tag, points) in enumerate(nonempty):
+        ordered = isinstance(points, tuple)
+        for pos, v in enumerate(points):
+            through[v].append((tag, ordered, len(points), pos if ordered else -1))
+            rels_at[v].append(i)
+    keys = [(colors[v], tuple(sorted(through[v]))) for v in range(n)]
+    cells = {}
+    for v, key in enumerate(keys):
+        cells.setdefault(key, []).append(v)
+    candidates = [cells[key] for key in keys]
+
+    # completing many relations early makes the checks prune early
+    unplaced = [set(points) for _, points in nonempty]
+    completes = [0] * n
+    for points in unplaced:
+        if len(points) == 1:
+            completes[min(points)] += 1
+    order = []
+    left = set(range(n))
+    while left:
+        v = min(left, key=lambda u: (len(candidates[u]), -completes[u], u))
+        left.remove(v)
+        order.append(v)
+        for i in rels_at[v]:
+            unplaced[i].discard(v)
+            if len(unplaced[i]) == 1:
+                completes[min(unplaced[i])] += 1
+    step = {v: k for k, v in enumerate(order)}
+    checks = [[] for _ in range(n)]    # relations whose last point is order[k]
+    for tag, points in nonempty:
+        checks[max(step[v] for v in points)].append(
+            (tag, points, isinstance(points, tuple)))
+
+    image = [None] * n
+    used = [False] * n
+    elements = []
+    generators = []
+    span = {tuple(range(n))}
+
+    def consistent(k):
+        for tag, points, is_tuple in checks[k]:
+            moved = (tuple(image[v] for v in points) if is_tuple
+                     else frozenset(image[v] for v in points))
+            if (tag, moved) not in relations:
+                return False
+        return True
+
+    tried = [0] * n    # how many candidates of order[k] have been tried
+    k = 0
+    while k >= 0:
+        v = order[k]
+        if image[v] is not None:
+            used[image[v]] = False
+            image[v] = None
+        cands = candidates[v]
+        while tried[k] < len(cands):
+            w = cands[tried[k]]
+            tried[k] += 1
+            if not used[w]:
+                image[v] = w
+                if consistent(k):
+                    break
+                image[v] = None
+        if image[v] is None:
+            tried[k] = 0
+            k -= 1
+            continue
+        used[image[v]] = True
+        if k < n - 1:
+            k += 1
+            continue
+        p = Permutation(image)
+        elements.append(p)
+        if len(elements) > bound:
+            raise OrderBoundExceeded(f"group order exceeds bound {bound}")
+        if p.images not in span:
+            generators.append(p)
+            span = _close(span, [g.images for g in generators], bound)
+    return PermGroup(n, generators, elements)
 
 
 def subgroup(group, elements):
@@ -547,7 +673,7 @@ def stabilizer(group, item, act):
     return subgroup(group, [g for g in group.elements if act(g, item) == item])
 
 
-def load_group(data):
+def load_group(data, bound=DEFAULT_ORDER_BOUND):
     """Build a PermGroup from the group JSON mapping form."""
     points = list(data["points"])
     degree = int(data.get("degree", len(points)))
@@ -563,4 +689,4 @@ def load_group(data):
         for src, dst in mapping.items():
             images[index[src]] = index[dst]
         gens.append(Permutation(images))
-    return close_group(gens, degree=degree, points=points)
+    return close_group(gens, degree=degree, points=points, bound=bound)

@@ -10,10 +10,11 @@ directed edges can all be traversed forward going around once.
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .complexes import ColoredRelativeComplex, GroupAction
-from .groups import ClassFunction, PermGroup, Permutation, close_group
+from .groups import (DEFAULT_ORDER_BOUND, ClassFunction, PermGroup, Permutation,
+                     automorphism_search, close_group)
 from .qsym import QSymClassFunction
 
 MAX_CYCLE_VERTICES = 12
@@ -180,15 +181,10 @@ class MixedGraph:
                 return k
         return None
 
-    def automorphism_group(self):
+    def automorphism_group(self, bound=DEFAULT_ORDER_BOUND):
         """All vertex permutations preserving both edge sets."""
-        elements = []
-        for images in permutations(range(self.n)):
-            p = Permutation(images)
-            if (all(frozenset((p(u), p(v))) in self.U for e in self.U for u, v in [sorted(e)])
-                    and all((p(u), p(v)) in self.D for u, v in self.D)):
-                elements.append(p)
-        return close_group(elements, degree=self.n)
+        relations = [("U", e) for e in self.U] + [("D", a) for a in self.D]
+        return automorphism_search([0] * self.n, relations, bound)
 
     def __repr__(self):
         return f"MixedGraph(n={self.n}, |U|={len(self.U)}, |D|={len(self.D)})"
@@ -379,6 +375,10 @@ def verify_mixedgraph_theorem(g, group=None, table=None):
     (b) F-coefficients of the coloring function are effective for |S| <= m(G);
     (c) the aggregate h-inequalities with ell = m(G);
     (d) when m(G) >= the least feasible color count: the three f-inequalities.
+
+    table, when given, is the character table of the graph group and serves
+    only (b); (c) and (d) act on the compiled complex, whose group is the
+    induced group on the ideals, and use that group's own table.
     """
     from .flags import verify_intro2, verify_intro3
     from .qsym import m_to_f
@@ -412,12 +412,12 @@ def verify_mixedgraph_theorem(g, group=None, table=None):
                                            "multiplicities": mults})
 
     ell = min(m, cx.d)
-    r2 = verify_intro2(cx, action, ell, table)
+    r2 = verify_intro2(cx, action, ell)
     if not r2["ok"]:
         report["failures"].append({"kind": "h-inequalities", "detail": r2["failures"]})
 
     if st["chrom_min"] is not None and m >= st["chrom_min"]:
-        r3 = verify_intro3(cx, action, st["chrom_min"], table)
+        r3 = verify_intro3(cx, action, st["chrom_min"])
         if not (r3.get("skipped") or r3["ok"]):
             report["failures"].append({"kind": "f-inequalities", "detail": r3["failures"]})
         report["intro3"] = r3

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, JSON output, seed independence."""
+import itertools
 import json
 import os
+import time
 
 import pytest
 
@@ -17,6 +19,28 @@ def run_json(capsys, *argv):
     code = run(["--json", *argv])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def write(tmp_path, name, data):
+    target = tmp_path / name
+    target.write_text(json.dumps(data))
+    return str(target)
+
+
+def isolated(n):
+    """A graph with n vertices and no edges: its group is S_n."""
+    return {"vertices": [f"w{i}" for i in range(n)], "undirected": [], "directed": []}
+
+
+def complete_join(blocks):
+    """Every colour transversal on blocks of the given sizes; its colour
+    automorphism group has order prod(size!)."""
+    by_color = [[f"c{c}v{i}" for i in range(size)] for c, size in enumerate(blocks, 1)]
+    faces = [list(f) for r in range(len(blocks) + 1)
+             for cs in itertools.combinations(by_color, r) for f in itertools.product(*cs)]
+    return {"vertices": [v for block in by_color for v in block],
+            "colors": {v: c for c, block in enumerate(by_color, 1) for v in block},
+            "num_colors": len(blocks), "faces": faces}
 
 
 class TestExitCodes:
@@ -36,6 +60,32 @@ class TestExitCodes:
     def test_missing_argument(self, capsys):
         code, report = run_json(capsys, "hilb")
         assert code == 2
+
+    def test_library_error_exits_2(self, capsys, tmp_path):
+        # 126 proper ideals exceed the vertex cap of a complex
+        graph = write(tmp_path, "iso7.json", isolated(7))
+        code, report = run_json(capsys, "compile", "--graph", graph)
+        assert code == 2 and report["error"].startswith("InvalidComplex")
+
+    def test_chromatic_checks_size_cap_first(self, capsys, tmp_path):
+        graph = write(tmp_path, "iso13.json", isolated(13))
+        t0 = time.perf_counter()
+        code, report = run_json(capsys, "chromatic", "--graph", graph)
+        assert code == 2 and "capped at 10 vertices" in report["error"]
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("argv, flag, name, data", [
+        (["hilb"], "--complex", "join.json", complete_join((3, 3, 2))),
+        (["chromatic"], "--graph", "iso4.json", isolated(4)),
+        (["verify", "--theorem", "graphtocomplex"], "--graph", "iso4.json", isolated(4)),
+        (["verify", "--theorem", "mixedgraph"], "--graph", "iso4.json", isolated(4)),
+        (["verify", "--theorem", "doubleposet"], "--dposet", "anti4.json",
+         {"elements": ["a", "b", "c", "d"], "order1": [], "order2": []}),
+    ])
+    def test_bound_reaches_every_group(self, capsys, tmp_path, argv, flag, name, data):
+        code, report = run_json(capsys, "--bound", "10", *argv, flag,
+                                write(tmp_path, name, data))
+        assert code == 2 and "exceeds bound 10" in report["error"]
 
     def test_verify_pass(self, capsys):
         code, report = run_json(capsys, "verify", "--theorem", "restriction",
@@ -85,6 +135,11 @@ class TestReports:
         assert code == 0
         assert report["complex"]["num_colors"] == 1
         assert report["complex"]["ideals"] == [["u"]]
+
+    def test_verify_mixedgraph_edge(self, capsys):
+        code, report = run_json(capsys, "verify", "--theorem", "mixedgraph",
+                                "--graph", path("edge.json"))
+        assert code == 0 and report["ok"] and not report["skipped"]
 
     def test_verify_doubleposet(self, capsys):
         code, report = run_json(capsys, "verify", "--theorem", "doubleposet",
