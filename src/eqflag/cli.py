@@ -22,6 +22,11 @@ class InputError(Exception):
     pass
 
 
+# What a loader raises on JSON of the wrong shape: a key missing, or a value
+# of the wrong type where a list, a name or a finite number is expected.
+MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError)
+
+
 def _load_json(path, what):
     try:
         with open(path) as fh:
@@ -77,7 +82,7 @@ def _load_complex(args):
     data = _load_json(args.complex, "complex")
     try:
         return complexes.load_complex(data)
-    except (complexes.ComplexError, KeyError, ValueError) as err:
+    except (complexes.ComplexError, *MALFORMED) as err:
         raise InputError(f"invalid complex: {err}")
 
 
@@ -90,7 +95,7 @@ def _load_group(args, points=None):
                 raise InputError("group points must match the complex vertices")
             data = dict(data, points=points)
         return groups.load_group(data, bound=args.bound)
-    except (groups.GroupError, KeyError, TypeError, ValueError) as err:
+    except (groups.GroupError, *MALFORMED) as err:
         raise InputError(f"invalid group: {err}")
 
 
@@ -108,7 +113,7 @@ def _load_graph(args):
     data = _load_json(args.graph, "graph")
     try:
         return mixedgraph.load_graph(data)
-    except (mixedgraph.GraphError, KeyError, ValueError) as err:
+    except (mixedgraph.GraphError, *MALFORMED) as err:
         raise InputError(f"invalid graph: {err}")
 
 
@@ -118,7 +123,7 @@ def _load_dposet(args):
     data = _load_json(args.dposet, "double poset")
     try:
         return doubleposet.load_double_poset(data)
-    except (doubleposet.PosetError, KeyError, ValueError) as err:
+    except (doubleposet.PosetError, *MALFORMED) as err:
         raise InputError(f"invalid double poset: {err}")
 
 
@@ -132,7 +137,7 @@ def cmd_validate(args, report):
                 int(data["num_colors"]),
                 [frozenset(data["vertices"].index(v) for v in f) for f in data["faces"]],
                 check=False)
-        except (KeyError, ValueError) as err:
+        except MALFORMED as err:
             raise InputError(f"malformed complex: {err}")
         problems = cx.validate()
         report["problems"] = problems
@@ -343,17 +348,29 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    p = argparse.ArgumentParser(prog="eqflag",
-                                description="equivariant flag enumeration toolkit")
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.add_argument("--seed", type=int, default=0,
+def _global_flags(default):
+    """The flags every command takes, before or after its name.
+
+    The copy on the subcommands defaults to SUPPRESS, so that a flag given
+    before the subcommand is not overwritten by the subcommand's default.
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--json", action="store_true", default=default(False),
+                   help="emit the report as JSON")
+    p.add_argument("--seed", type=int, default=default(0),
                    help="seed for character-table numerics only")
-    p.add_argument("--bound", type=int, default=groups.DEFAULT_ORDER_BOUND,
+    p.add_argument("--bound", type=int, default=default(groups.DEFAULT_ORDER_BOUND),
                    help="cap on the order of every group the command builds")
+    return p
+
+
+def build_parser():
+    p = argparse.ArgumentParser(prog="eqflag", parents=[_global_flags(lambda v: v)],
+                                description="equivariant flag enumeration toolkit")
+    after = _global_flags(lambda v: argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, parents=[after])
         sp.add_argument("--complex")
         sp.add_argument("--group")
         sp.add_argument("--graph")

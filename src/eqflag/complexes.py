@@ -76,6 +76,8 @@ class ColoredRelativeComplex:
     def validate(self):
         """List of violation descriptions (empty when valid)."""
         problems = []
+        if self.d < 0:
+            problems.append(f"negative number of colors {self.d}")
         for i, c in enumerate(self.coloring):
             if not 1 <= c <= self.d:
                 problems.append(f"vertex {self.vertices[i]} has color {c} outside 1..{self.d}")

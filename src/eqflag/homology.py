@@ -4,13 +4,24 @@ The chain complex of a relative family depends only on its face set Phi: the
 i-chain basis is the set of i-dimensional Phi-faces, and boundary terms that
 land outside Phi are dropped.  The empty face spans degree -1; a void family
 (no faces at all) has zero chain groups everywhere.
+
+Everything is read off integer ranks of boundary matrices.  Equivariant
+traces come from Betti numbers of fixed-point complexes: over Q the
+invariants H_i(C)^H of a subgroup H are the homology of the invariant
+complex C^H, spanned by the orbit sums of faces (the transfer; Bredon,
+Introduction to Compact Transformation Groups, ch. III).  For g of order m
+and each k | m, the Betti number b_k of C^<g^k> is the sum of phi(e) a_e
+over e | k, where a_e counts the copies of the rational irreducible Q(zeta_e)
+of <g> in H_i.  Moebius inversion gives the a_e, and g has trace mu(e) on
+Q(zeta_e), so tr(g | H_i) = sum over e | m of a_e mu(e); this is the
+equivariant Hopf trace of Stanley (JCTA 1982) read one degree at a time.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .groups import ClassFunction
-from .linalg import nullspace, rank_exact, rank_mod_p, rref, solve_columns
+from .linalg import rank_exact, rank_mod_p
 
 
 class HomologyError(Exception):
@@ -39,36 +50,38 @@ class ChainComplex:
     def basis(self, dim):
         return self.by_dim.get(dim, [])
 
+    def facets(self, f):
+        """(position, facet) for the codimension-one faces of f in the family;
+        the boundary coefficient of the facet is (-1) ** position."""
+        below = self.index.get(len(f) - 2, {})
+        for pos, v in enumerate(sorted(f)):
+            sub = f - {v}
+            if sub in below:
+                yield pos, sub
+
     def boundary(self, dim):
         """Boundary matrix from dim-chains to (dim-1)-chains, integer entries.
 
         Rows are indexed by (dim-1)-faces, columns by dim-faces; faces missing
         from the family contribute nothing.
         """
-        cols = self.basis(dim)
-        rows_basis = self.basis(dim - 1)
         row_index = self.index.get(dim - 1, {})
-        mat = [[0] * len(cols) for _ in rows_basis]
-        for j, f in enumerate(cols):
-            vs = sorted(f)
-            for pos, v in enumerate(vs):
-                sub = f - {v}
-                i = row_index.get(sub)
-                if i is not None:
-                    mat[i][j] = (-1) ** pos
+        mat = [[0] * len(self.basis(dim)) for _ in self.basis(dim - 1)]
+        for j, f in enumerate(self.basis(dim)):
+            for pos, sub in self.facets(f):
+                mat[row_index[sub]][j] = (-1) ** pos
         return mat
 
     def check_d_squared(self):
+        """Raise unless every boundary of a boundary vanishes in the family."""
         for dim in self.dims:
-            a = self.boundary(dim)       # dim -> dim-1
-            b = self.boundary(dim + 1)   # dim+1 -> dim
-            if not a or not b or not b[0]:
-                continue
-            for i in range(len(a)):
-                for j in range(len(b[0])):
-                    s = sum(a[i][k] * b[k][j] for k in range(len(b)))
-                    if s != 0:
-                        raise HomologyError("boundary squared is nonzero")
+            for f in self.basis(dim):
+                total = {}
+                for pos, sub in self.facets(f):
+                    for pos2, sub2 in self.facets(sub):
+                        total[sub2] = total.get(sub2, 0) + (-1) ** (pos + pos2)
+                if any(total.values()):
+                    raise HomologyError("boundary squared is nonzero")
 
     def betti(self, max_dim=None, exact=True):
         """Betti numbers as a dict dim -> rank of homology.
@@ -91,32 +104,61 @@ class ChainComplex:
             out[dim] = ncols - boundary_rank[dim] - boundary_rank[dim + 1]
         return out
 
-    def induced_matrix(self, g, dim):
-        """Signed permutation matrix of g on dim-chains (columns = images)."""
-        basis = self.basis(dim)
-        idx = self.index.get(dim, {})
-        n = len(basis)
-        mat = [[0] * n for _ in range(n)]
-        for j, f in enumerate(basis):
-            img = g.apply_set(f)
-            i = idx.get(img)
-            if i is None:
-                raise HomologyError(f"face {sorted(f)} not preserved by the action")
-            src = sorted(f)
-            sign = _sort_sign([g(v) for v in src])
-            mat[i][j] = sign
-        return mat
+    def fixed_betti(self, images, dims):
+        """Betti numbers, in the given dims, of the complex of orbit sums of
+        the cyclic group generated by the permutation with these images.
+
+        Each face gets its orbit's first face and the sign that carries one
+        to the other.  An orbit whose stabilizer reverses orientation has
+        orbit sum 0 and is dropped.  The boundary of an orbit sum is again
+        invariant, so its coordinate on an orbit is its coefficient on that
+        orbit's first face.
+        """
+        label = {}
+        for dim in range(dims[0] - 1, dims[-1] + 2):
+            family = self.index.get(dim, {})
+            for f in self.basis(dim):
+                if f in label:
+                    continue
+                orbit, cur, sign = [], f, 1
+                while True:
+                    orbit.append((cur, sign))
+                    src = sorted(cur)
+                    img = [images[v] for v in src]
+                    cur = frozenset(img)
+                    if cur not in family:
+                        raise HomologyError(f"face {src} not preserved by the action")
+                    sign *= _sort_sign(img)
+                    if cur == f:
+                        break
+                for face, s in orbit:
+                    label[face] = (f, s) if sign > 0 else None
+        reps = {dim: [f for f in self.basis(dim) if label[f] == (f, 1)]
+                for dim in range(dims[0] - 1, dims[-1] + 2)}
+        ranks = {}
+        for dim in range(dims[0], dims[-1] + 2):
+            rows = {f: i for i, f in enumerate(reps[dim - 1])}
+            cols = {f: j for j, f in enumerate(reps[dim])}
+            mat = [[0] * len(cols) for _ in rows]
+            for f in self.basis(dim):
+                if label[f] is None:
+                    continue
+                rep, s = label[f]
+                for pos, sub in self.facets(f):
+                    i = rows.get(sub)
+                    if i is not None:
+                        mat[i][cols[rep]] += s * (-1) ** pos
+            ranks[dim] = rank_exact(mat)
+        return {dim: len(reps[dim]) - ranks[dim] - ranks[dim + 1] for dim in dims}
 
 
 def _sort_sign(seq):
     """Parity of the permutation sorting seq (distinct entries)."""
-    seq = list(seq)
     sign = 1
-    for i in range(len(seq)):
-        m = min(range(i, len(seq)), key=seq.__getitem__)
-        if m != i:
-            seq[i], seq[m] = seq[m], seq[i]
-            sign = -sign
+    for i, a in enumerate(seq):
+        for b in seq[i + 1:]:
+            if a > b:
+                sign = -sign
     return sign
 
 
@@ -142,70 +184,73 @@ def homology_vanishes_up_to(faces, max_dim):
     return True, None
 
 
-def _trace_on_invariant_subspace(basis_cols, matrix):
-    """Trace of a linear map restricted to an invariant subspace.
+def _divisors(m):
+    return [k for k in range(1, m + 1) if m % k == 0]
 
-    basis_cols: independent Fraction column vectors spanning the subspace;
-    matrix: the map on the ambient space (list of rows).  Solves B X = M B.
-    """
-    if not basis_cols:
-        return Fraction(0)
-    n = len(basis_cols[0])
-    mapped = []
-    for col in basis_cols:
-        mapped.append([sum(Fraction(matrix[i][j]) * col[j] for j in range(n))
-                       for i in range(n)])
-    coords = solve_columns(basis_cols, mapped)
-    return sum(coords[k][k] for k in range(len(basis_cols)))
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def _totient(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 def equivariant_homology_traces(faces, group, max_dim=None):
     """For each dimension, the trace of every class representative on H_dim.
 
-    Returns dict dim -> ClassFunction.  The trace on homology is computed as
-    trace on cycles minus trace on boundaries (both are invariant subspaces,
-    and H = Z/B).
+    Returns dict dim -> ClassFunction, with integer values.  The Betti
+    numbers of the fixed-point complexes are cached per cyclic subgroup.
     """
     cc = ChainComplex(faces)
     cc.check_d_squared()
-    out = {}
-    for dim in cc.dims:
-        if max_dim is not None and dim > max_dim:
-            break
-        down = cc.boundary(dim)
-        ncols = len(cc.basis(dim))
-        cycles = nullspace(down, ncols=ncols) if down else \
-            [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-        up = cc.boundary(dim + 1)
-        boundaries = _column_space_basis(up) if up and up[0] else []
-        values = []
-        for g in group.class_reps:
-            m = cc.induced_matrix(g, dim)
-            tz = _trace_on_invariant_subspace(cycles, m)
-            tb = _trace_on_invariant_subspace(boundaries, m)
-            values.append(tz - tb)
-        out[dim] = ClassFunction(group, values)
-    return out
-
-
-def _column_space_basis(mat):
-    """Independent columns of an integer matrix, as Fraction column vectors."""
-    _, pivots = rref(mat)
-    return [[Fraction(mat[i][j]) for i in range(len(mat))] for j in pivots]
-
-
-def equivariant_homology_characters(faces, group, max_dim=None):
-    """Alias with the full ChainComplex dimension range as keys; dims with no
-    faces simply do not appear (their homology is zero)."""
-    return equivariant_homology_traces(faces, group, max_dim=max_dim)
+    dims = [dim for dim in cc.dims if max_dim is None or dim <= max_dim]
+    if not dims:
+        return {}
+    cache = {}
+    values = {dim: [] for dim in dims}
+    for g in group.class_reps:
+        powers = [tuple(range(group.degree))]
+        while True:
+            nxt = tuple(g.images[v] for v in powers[-1])
+            if nxt == powers[0]:
+                break
+            powers.append(nxt)
+        m = len(powers)
+        fixed = {}
+        for k in _divisors(m):
+            key = frozenset(powers[k * j % m] for j in range(m // k))
+            if key not in cache:
+                cache[key] = cc.fixed_betti(powers[k % m], dims)
+            fixed[k] = cache[key]
+        for dim in dims:
+            trace = 0
+            for e in _divisors(m):
+                total = sum(_mobius(e // k) * fixed[k][dim] for k in _divisors(e))
+                count, rest = divmod(total, _totient(e))
+                if rest or count < 0:
+                    raise HomologyError(f"fixed-point Betti numbers in dimension {dim} "
+                                        f"do not invert to a representation of {g!r}")
+                trace += count * _mobius(e)
+            values[dim].append(trace)
+    return {dim: ClassFunction(group, values[dim]) for dim in dims}
 
 
 def hopf_trace_check(faces, group):
     """Alternating chain-level traces vs alternating homology traces, per class.
 
-    The chain-level trace of g in dimension i equals its number of fixed
-    i-faces: a setwise-fixed face is vertexwise fixed here (color-preserving
-    action, distinct colors on a face), so the sign is +1.
+    The chain-level trace of g in dimension i is the signed count of the
+    i-faces g fixes as sets, each with the sign of g on its vertices (always
+    +1 under a colour-preserving action, since the colours on a face are
+    distinct).
 
     Returns (ok, report) with both sides per class representative.
     """
@@ -213,13 +258,11 @@ def hopf_trace_check(faces, group):
     homo = equivariant_homology_traces(faces, group)
     lhs, rhs = [], []
     for g in group.class_reps:
-        chain_side = Fraction(0)
+        chain_side = 0
         for dim in cc.dims:
-            fixed = sum(1 for f in cc.basis(dim) if g.apply_set(f) == f)
-            chain_side += (-1) ** dim * fixed
-        homo_side = sum((-1) ** dim * Fraction(cf.value_at(g))
-                        for dim, cf in homo.items())
+            for f in cc.basis(dim):
+                if g.apply_set(f) == f:
+                    chain_side += (-1) ** dim * _sort_sign([g(v) for v in sorted(f)])
         lhs.append(chain_side)
-        rhs.append(homo_side)
-    ok = lhs == rhs
-    return ok, {"chain": lhs, "homology": rhs}
+        rhs.append(sum((-1) ** dim * cf.value_at(g) for dim, cf in homo.items()))
+    return lhs == rhs, {"chain": lhs, "homology": rhs}

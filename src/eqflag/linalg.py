@@ -1,13 +1,11 @@
-"""Exact linear algebra over the rationals.
+"""Exact ranks of integer matrices: the only linear algebra the project needs.
 
-Boundary matrices in this project are small and integer-valued, so ranks are
-computed with fraction-free (Bareiss-style) elimination over Python ints, with
-an optional fast modular pre-pass for vanishing checks.  Nullspaces and linear
-solves use Fractions.
+Boundary matrices here are small and integer-valued.  Ranks are computed by
+fraction-free (Bareiss) elimination over Python ints, with a modular pass as
+a fast path: the rank modulo a large prime is a lower bound for the rational
+rank, and is exact whenever it is already full.
 """
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,7 +33,7 @@ def rank_int(rows):
         p = m[rank][col]
         for r in range(rank + 1, nrows):
             f = m[r][col]
-            if f == 0 and prev == 1:
+            if f == 0 and p == prev:
                 continue
             row = m[r]
             top = m[rank]
@@ -90,88 +88,3 @@ def rank_exact(rows):
     if r == min(len(rows), len(rows[0])):
         return r
     return rank_int(rows)
-
-
-def _to_fractions(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rref(rows):
-    """Reduced row echelon form over Fractions; returns (matrix, pivot_cols)."""
-    m = _to_fractions(rows)
-    if not m or not m[0]:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][col]
-        m[r] = [x / p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def nullspace(rows, ncols=None):
-    """Basis of the right nullspace, as a list of Fraction column vectors."""
-    if not rows:
-        if ncols is None:
-            return []
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
-def solve_columns(a_cols, b_cols):
-    """Solve A X = B where A's columns are independent; exact, raises if inconsistent.
-
-    a_cols and b_cols are lists of column vectors (equal length).  Returns X as
-    a list of columns (coordinates of each b in terms of the a's).
-    """
-    if not a_cols:
-        if any(any(x for x in b) for b in b_cols):
-            raise ValueError("inconsistent system")
-        return [[] for _ in b_cols]
-    nrows = len(a_cols[0])
-    k = len(a_cols)
-    aug = [[Fraction(a_cols[j][i]) for j in range(k)]
-           + [Fraction(b[i]) for b in b_cols] for i in range(nrows)]
-    red, pivots = rref(aug)
-    if len(pivots) != k or any(p >= k for p in pivots):
-        raise ValueError("columns are dependent or system inconsistent")
-    # rows beyond rank must be zero in the b-part
-    for r in range(k, nrows):
-        if r < len(red) and any(red[r][k:]):
-            raise ValueError("inconsistent system")
-    return [[red[r][k + j] for r in range(k)] for j in range(len(b_cols))]
-
-
-def solve_square(rows, rhs):
-    """Solve a square nonsingular rational system; rhs is a vector."""
-    n = len(rows)
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
-    (x,) = solve_columns(cols, [list(rhs)])
-    return x

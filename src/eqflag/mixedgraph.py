@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .complexes import ColoredRelativeComplex, GroupAction
+from .complexes import (MAX_VERTICES, ColoredRelativeComplex, GroupAction,
+                        InvalidComplex)
 from .groups import (DEFAULT_ORDER_BOUND, ClassFunction, PermGroup, Permutation,
                      automorphism_search, close_group)
 from .qsym import QSymClassFunction
@@ -260,6 +261,12 @@ def chromatic_qsym(g, group=None):
 def order_ideals(g):
     """Order ideals of the transitive closure of the directed edges,
     including the empty and full sets, sorted by (size, membership)."""
+    return list(_ideals_by_size(g))
+
+
+def _ideals_by_size(g):
+    """The order ideals in the order of order_ideals, generated one size at a
+    time from the ideals one smaller, so that a caller can stop early."""
     if not g.is_acyclic():
         raise NotAcyclic("directed part has a cycle")
     below = {v: set() for v in range(g.n)}  # below[v] = {u: u <= v}
@@ -278,13 +285,12 @@ def order_ideals(g):
     for v in range(g.n):
         for w in closure[v]:
             below[w].add(v)
-    ideals = []
-    for bits in product((0, 1), repeat=g.n):
-        s = frozenset(v for v in range(g.n) if bits[v])
-        if all(below[v] <= s for v in s):
-            ideals.append(s)
-    ideals.sort(key=lambda s: (len(s), sorted(s)))
-    return ideals
+    layer = [frozenset()]
+    while layer:
+        yield from layer
+        grown = {i | {v} for i in layer for v in range(g.n)
+                 if v not in i and below[v] <= i | {v}}
+        layer = sorted(grown, key=sorted)
 
 
 def _stable(g, small, big):
@@ -297,11 +303,17 @@ def coloring_complex(g):
     Vertices are the ideals, colored by size; faces are the chains whose
     consecutive pairs, padded with the empty and full ideals, are stable
     (no undirected edge inside the difference).  Returns the complex and the
-    ideal list (in vertex order).
+    ideal list (in vertex order).  More proper nonempty ideals than a complex
+    may have vertices raise InvalidComplex before any chain is built.
     """
     n = g.n
     full = frozenset(range(n))
-    ideals = [i for i in order_ideals(g) if i and i != full]
+    ideals = []
+    for i in _ideals_by_size(g):
+        if i and i != full:
+            ideals.append(i)
+        if len(ideals) > MAX_VERTICES:
+            raise InvalidComplex(f"more than {MAX_VERTICES} vertices")
     index = {i: k for k, i in enumerate(ideals)}
     faces = []
     if _stable(g, frozenset(), full):

@@ -7,12 +7,10 @@ binomial basis C(x, i), with an exact change of basis to C(x+n-i, n).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 
 from .groups import ClassFunction, GroupMismatch, is_effective, leq_g
-from .linalg import solve_square
 
 
 class QSymError(Exception):
@@ -136,29 +134,24 @@ class PolyClassFunction:
     def hvec(self):
         """Coefficients h with p(x) = sum_i h[i] * C(x+n-i, n), n = degree.
 
-        Solved exactly from evaluations at x = 0..n; entries must come out
-        integral per class.
+        Closed form h_k = sum over i <= k of (-1)^(k-i) C(n-i, k-i) f_i;
+        entries must come out integral per class, and the two expansions are
+        compared once more at x = n+1.
         """
         n = self.degree
-        rows = [[Fraction(comb(x + n - i, n)) for i in range(n + 1)] for x in range(n + 1)]
-        out = []
-        for k in range(self.group.num_classes):
-            rhs = [Fraction(self.evaluate(x).values[k]) for x in range(n + 1)]
-            sol = solve_square(rows, rhs)
-            for v in sol:
-                if v.denominator != 1:
-                    raise NonIntegralHVector(f"h-vector entry {v} is not an integer")
-            out.append([int(v) for v in sol])
-        hvec = [ClassFunction(self.group, [out[k][i] for k in range(self.group.num_classes)])
-                for i in range(n + 1)]
-        # round-trip: the two basis expansions agree at x = 0..n by construction;
-        # re-check one extra point for safety
+        hvec = []
+        for k in range(n + 1):
+            total = ClassFunction.zero(self.group)
+            for i in range(min(k, len(self.fvec) - 1) + 1):
+                total = total + (-1) ** (k - i) * comb(n - i, k - i) * self.fvec[i]
+            if not all(isinstance(v, int) for v in total.values):
+                raise NonIntegralHVector(f"h-vector entry {total.values} is not integral")
+            hvec.append(total)
         x = n + 1
-        lhs = self.evaluate(x)
         rhs_cf = ClassFunction.zero(self.group)
         for i, cf in enumerate(hvec):
             rhs_cf = rhs_cf + comb(x + n - i, n) * cf
-        if lhs != rhs_cf:
+        if self.evaluate(x) != rhs_cf:
             raise NonIntegralHVector("binomial-basis change failed round-trip")
         return hvec
 

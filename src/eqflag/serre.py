@@ -8,24 +8,38 @@ is relatively Cohen-Macaulay.
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 from .homology import homology_vanishes_up_to
+
+
+def _star_index(cx):
+    """Map every face sigma of Delta to its link in Phi, {f - sigma : f in Phi,
+    sigma <= f}; these are the Phi-faces of the relative link of sigma."""
+    index = {}
+    for f in cx.faces:
+        verts = sorted(f)
+        for r in range(len(verts) + 1):
+            for sigma in combinations(verts, r):
+                sigma = frozenset(sigma)
+                index.setdefault(sigma, []).append(f - sigma)
+    return index
 
 
 def satisfies_serre(cx, ell):
     """Check (S_ell); returns (ok, witness) with witness = (sigma, i) on failure."""
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    for sigma in sorted(cx.delta, key=lambda f: (len(f), sorted(f))):
-        pair = cx.link(sigma)
-        link_dim = pair.phi_dim()
-        if link_dim is None:
-            continue
+    star = _star_index(cx)
+    for sigma in sorted(star, key=lambda f: (len(f), sorted(f))):
+        link = star[sigma]
+        link_dim = max(len(f) for f in link) - 1
         # condition: H_{i-1}(link) = 0 for i <= min(link_dim, ell - 1),
         # i.e. homology dims -1 .. min(link_dim, ell - 1) - 1 all vanish
         bound = min(link_dim, ell - 1) - 1
         if bound < -1:
             continue
-        ok, dim = homology_vanishes_up_to(pair.phi_faces, bound)
+        ok, dim = homology_vanishes_up_to(link, bound)
         if not ok:
             return False, (sigma, dim + 1)
     return True, None
@@ -34,17 +48,22 @@ def satisfies_serre(cx, ell):
 def serre_depth(cx, max_ell=None):
     """Largest ell in 1..d with (S_ell); 0 if even (S_1) fails.
 
-    The conditions are nested in ell, so a linear scan from above the first
-    failure is unnecessary; we scan upward and stop at the first failure.
+    One pass over the links: a link whose homology H_j with j below its
+    dimension does not vanish fails (S_ell) exactly for ell >= j + 2, so it
+    caps the depth at j + 1.  Each link is asked only about the degrees
+    below the current cap.
     """
-    top = cx.d if max_ell is None else min(max_ell, cx.d)
-    depth = 0
-    for ell in range(1, top + 1):
-        ok, _ = satisfies_serre(cx, ell)
-        if not ok:
+    cap = cx.d if max_ell is None else min(max_ell, cx.d)
+    for link in _star_index(cx).values():
+        if cap <= 0:
             break
-        depth = ell
-    return depth
+        bound = min(max(len(f) for f in link) - 1, cap - 1) - 1
+        if bound < -1:
+            continue
+        ok, dim = homology_vanishes_up_to(link, bound)
+        if not ok:
+            cap = dim + 1
+    return max(cap, 0)
 
 
 def is_relatively_cm(cx):
@@ -59,8 +78,6 @@ def verify_restriction_theorem(cx, ell=None):
     With ell=None, uses the full depth of cx.  Returns a report dict; the
     expected outcome is no counterexamples.
     """
-    from itertools import combinations
-
     if ell is None:
         ell = serre_depth(cx)
     report = {"ell": ell, "holds_on_input": None, "counterexamples": [], "checked": 0}

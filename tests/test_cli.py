@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, JSON output, seed independence."""
+import contextlib
+import io
 import itertools
 import json
 import os
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA
 
@@ -66,6 +70,15 @@ class TestExitCodes:
         graph = write(tmp_path, "iso7.json", isolated(7))
         code, report = run_json(capsys, "compile", "--graph", graph)
         assert code == 2 and report["error"].startswith("InvalidComplex")
+
+    def test_compile_checks_ideal_cap_first(self, capsys, tmp_path):
+        # 254 proper ideals: no stable chain is enumerated before the cap
+        graph = write(tmp_path, "iso8.json", isolated(8))
+        t0 = time.perf_counter()
+        code, report = run_json(capsys, "compile", "--graph", graph)
+        assert code == 2
+        assert report["error"] == "InvalidComplex: more than 32 vertices"
+        assert time.perf_counter() - t0 < 1.0
 
     def test_chromatic_checks_size_cap_first(self, capsys, tmp_path):
         graph = write(tmp_path, "iso13.json", isolated(13))
@@ -147,6 +160,27 @@ class TestReports:
         assert code == 0 and not report["tertispecial"]
 
 
+class TestGlobalFlags:
+    def test_json_after_the_subcommand(self, capsys):
+        argv = ["hilb", "--complex", path("fig1.json"), "--group", path("z2.json")]
+        reports = []
+        for order in (["--json", *argv], [*argv, "--json"]):
+            assert run(order) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["started"], report["elapsed"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_bound_and_seed_after_the_subcommand(self, capsys):
+        code, report = run_json(capsys, "hilb", "--complex", path("fig1.json"),
+                                "--bound", "1", "--seed", "3")
+        assert code == 2 and "exceeds bound 1" in report["error"]
+
+    def test_flag_before_is_not_overwritten(self, capsys):
+        code, report = run_json(capsys, "--bound", "1", "hilb", "--complex", path("fig1.json"))
+        assert code == 2 and "exceeds bound 1" in report["error"]
+
+
 class TestDeterminism:
     def test_seed_does_not_change_combinatorics(self, capsys):
         reports = []
@@ -162,3 +196,104 @@ class TestDeterminism:
         code = run(["serre", "--depth", "--complex", path("fig1.json")])
         out = capsys.readouterr().out
         assert code == 0 and "depth: 3" in out
+
+
+FIG1 = json.loads(open(path("fig1.json")).read())
+EDGE = json.loads(open(path("edge.json")).read())
+DPOSET = json.loads(open(path("fig2_dposet.json")).read())
+COMMANDS = [(["validate"], "--complex", FIG1), (["hilb"], "--complex", FIG1),
+            (["homology"], "--complex", FIG1), (["validate"], "--graph", EDGE),
+            (["compile"], "--graph", EDGE), (["validate"], "--dposet", DPOSET),
+            (["compile"], "--dposet", DPOSET)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4),
+                                                                 inner, max_size=4),
+    max_leaves=8)
+
+
+@st.composite
+def wrongly_typed(draw, data):
+    """One value anywhere in the document replaced by a JSON value of any type."""
+    def paths(x, prefix=()):
+        yield prefix
+        items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else []
+        for k, v in items:
+            yield from paths(v, prefix + (k,))
+    where = draw(st.sampled_from(list(paths(data))))
+    value = draw(JSON_VALUES)
+    if not where:
+        return value
+    doc = json.loads(json.dumps(data))
+    target = doc
+    for k in where[:-1]:
+        target = target[k]
+    target[where[-1]] = value
+    return doc
+
+
+@st.composite
+def missing_keys(draw, data):
+    drop = draw(st.sets(st.sampled_from(sorted(data)), min_size=1))
+    return {k: v for k, v in data.items() if k not in drop}
+
+
+@st.composite
+def oversized(draw, flag):
+    """More than 32 vertices, or (for a graph) more ideals than a complex may
+    have vertices."""
+    n = draw(st.integers(6, 60) if flag == "--graph" else st.integers(33, 60))
+    names = [f"x{i}" for i in range(n)]
+    if flag == "--graph":
+        return {"vertices": names, "undirected": [], "directed": []}
+    if flag == "--dposet":
+        return {"elements": names, "order1": [], "order2": []}
+    return {"vertices": names, "colors": {v: 1 for v in names}, "num_colors": 1,
+            "faces": [[v] for v in names]}
+
+
+@st.composite
+def cli_inputs(draw):
+    argv, flag, data = draw(st.sampled_from(COMMANDS))
+    kind = draw(st.sampled_from(["malformed", "typed", "missing", "oversized"]))
+    if kind == "malformed":
+        text = json.dumps(data)
+        return argv, flag, draw(st.one_of(st.text(max_size=20),
+                                          st.integers(0, len(text) - 1).map(lambda k: text[:k])))
+    if kind == "typed":
+        doc = draw(wrongly_typed(data))
+    elif kind == "missing":
+        doc = draw(missing_keys(data))
+    else:
+        doc = draw(oversized(flag))
+    return argv, flag, json.dumps(doc)
+
+
+class TestRobustness:
+    """Bad input of any kind ends in a documented exit code and a report that
+    parses, never in a traceback."""
+
+    @pytest.mark.parametrize("num_colors", [-3, "Infinity"])
+    def test_bad_number_of_colors(self, capsys, tmp_path, num_colors):
+        target = tmp_path / "void.json"
+        target.write_text('{"vertices": [], "colors": {}, "faces": [], '
+                          f'"num_colors": {num_colors}}}')
+        code, report = run_json(capsys, "hilb", "--complex", str(target))
+        assert code == 2 and "invalid complex" in report["error"]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cli_inputs())
+    def test_bad_input_never_escapes(self, tmp_path, case):
+        argv, flag, text = case
+        target = tmp_path / "input.json"
+        target.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(["--json", *argv, flag, str(target)])
+        assert code in (0, 1, 2, 3)
+        report = json.loads(out.getvalue())
+        assert report["command"] == argv[0]
+        if code == 2:
+            assert report["error"]

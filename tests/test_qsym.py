@@ -1,4 +1,5 @@
 """Quasisymmetric class functions: basis change, specialization, flawlessness."""
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqflag.groups import ClassFunction, Permutation, close_group
-from eqflag.qsym import (BasisMismatch, PolyClassFunction, QSymClassFunction,
-                         dump_qsym, f_to_m, is_effectively_flawless,
+from eqflag.qsym import (BasisMismatch, NonIntegralHVector, PolyClassFunction,
+                         QSymClassFunction, dump_qsym, f_to_m,
+                         is_effectively_flawless,
                          is_strongly_flawless, load_qsym, m_to_f,
                          principal_specialization, shifted_flawless_check,
                          subsets)
@@ -81,7 +83,62 @@ class TestPrincipalSpecialization:
             assert p.evaluate(k).at_identity == k * (k + 1) // 2
 
 
+def solve_square(rows, rhs):
+    """Solve a square nonsingular rational system by Gauss-Jordan elimination."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[col])]
+    return [row[n] for row in m]
+
+
+def hvec_by_solving(p):
+    """The h-vector solved exactly from the evaluations at x = 0..n, per class."""
+    n = p.degree
+    rows = [[comb(x + n - i, n) for i in range(n + 1)] for x in range(n + 1)]
+    per_class = [solve_square(rows, [p.evaluate(x).values[k] for x in range(n + 1)])
+                 for k in range(p.group.num_classes)]
+    return [[per_class[k][i] for k in range(p.group.num_classes)] for i in range(n + 1)]
+
+
+C2 = close_group([Permutation([1, 0])], degree=2)
+
+
 class TestHVector:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                             min_size=n + 1, max_size=n + 1))))
+    def test_closed_form_matches_solver(self, case):
+        n, values = case
+        p = PolyClassFunction(C2, [ClassFunction(C2, v) for v in values], degree=n)
+        assert [list(h.values) for h in p.hvec()] == hvec_by_solving(p)
+
+    @pytest.mark.parametrize("degree, terms", [
+        (4, {(1, 3): 1}), (2, {(): 1, (1,): 1}), (3, {(): 2, (1,): -1, (2,): 4, (1, 2): 3}),
+        (5, {(1, 2, 3, 4): 1, (2,): 7})])
+    def test_principal_specializations_match_solver(self, degree, terms):
+        p = principal_specialization(q_from_ints(degree, terms))
+        assert [list(h.values) for h in p.hvec()] == hvec_by_solving(p)
+
+    def test_non_integral_rejected(self):
+        p = PolyClassFunction(TRIV, [ClassFunction(TRIV, [Fraction(1, 2)]),
+                                     ClassFunction(TRIV, [0])], degree=1)
+        with pytest.raises(NonIntegralHVector):
+            p.hvec()
+
+    def test_degree_too_small_rejected(self):
+        # C(x, 2) has no expansion in C(x+1-i, 1)
+        p = PolyClassFunction(TRIV, [ClassFunction(TRIV, [int(i == 2)]) for i in range(3)],
+                              degree=1)
+        with pytest.raises(NonIntegralHVector, match="round-trip"):
+            p.hvec()
+
     def test_top_binomial(self):
         # p(x) = C(x, n) has h = (0, ..., 0, 1)
         n = 3

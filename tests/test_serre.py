@@ -1,13 +1,54 @@
-"""Depth conditions and the restriction theorem."""
+"""Depth conditions and the restriction theorem.
+
+The one-pass depth is checked against the definition: (S_ell) tested for
+ell = 1, 2, ... on the link of every face of Delta, taken from cx.link.
+"""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fig1_complex
 
 from eqflag.complexes import ColoredRelativeComplex
-from eqflag.corpus import random_complexes
+from eqflag.corpus import random_complex, random_complexes, small_mixed_graphs
+from eqflag.homology import homology_vanishes_up_to
 from eqflag.mixedgraph import MixedGraph, coloring_complex
 from eqflag.serre import (is_relatively_cm, satisfies_serre, serre_depth,
                           verify_restriction_theorem)
+
+
+def satisfies_serre_by_links(cx, ell):
+    """(S_ell) with every link built by cx.link; (ok, witness)."""
+    for sigma in sorted(cx.delta, key=lambda f: (len(f), sorted(f))):
+        pair = cx.link(sigma)
+        link_dim = pair.phi_dim()
+        if link_dim is None:
+            continue
+        bound = min(link_dim, ell - 1) - 1
+        if bound < -1:
+            continue
+        ok, dim = homology_vanishes_up_to(pair.phi_faces, bound)
+        if not ok:
+            return False, (sigma, dim + 1)
+    return True, None
+
+
+def serre_depth_by_scan(cx, max_ell=None):
+    """Largest ell with (S_ell), scanning ell upward to the first failure."""
+    top = cx.d if max_ell is None else min(max_ell, cx.d)
+    depth = 0
+    for ell in range(1, top + 1):
+        if not satisfies_serre_by_links(cx, ell)[0]:
+            break
+        depth = ell
+    return depth
+
+
+def assert_depth_matches_scan(cx):
+    for max_ell in (None, 1, 2):
+        assert serre_depth(cx, max_ell) == serre_depth_by_scan(cx, max_ell)
+    for ell in range(1, cx.d + 2):
+        assert satisfies_serre(cx, ell) == satisfies_serre_by_links(cx, ell)
 
 
 class TestSerre:
@@ -56,3 +97,27 @@ class TestRestriction:
         g = MixedGraph(list(range(3)), [], [(0, 1), (1, 2)])
         cx, _ = coloring_complex(g)
         assert serre_depth(cx) == cx.d
+
+
+class TestOnePassDepth:
+    def test_acceptance_corpus(self):
+        corpus = list(random_complexes(200, seed=0))
+        corpus += [coloring_complex(g)[0] for g in small_mixed_graphs(max_n=4)]
+        assert len(corpus) == 315
+        depths = set()
+        for cx in corpus:
+            assert_depth_matches_scan(cx)
+            depths.add((serre_depth(cx), cx.d))
+        # the corpus reaches every cap: depth 0, partial and full depth
+        assert {depth for depth, d in depths} >= {0, 1, 2, 3}
+        assert any(0 < depth < d for depth, d in depths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_complexes(self, rng):
+        assert_depth_matches_scan(random_complex(rng, 1, 5))
+
+    def test_void_and_empty(self):
+        void = ColoredRelativeComplex([], [], 2, [])
+        assert serre_depth(void) == 2 == serre_depth_by_scan(void)
+        assert serre_depth(fig1_complex(), max_ell=0) == 0
