@@ -1,7 +1,7 @@
 """Exact toolkit for equivariant flag enumeration on balanced relative
 simplicial complexes, with mixed-graph and double-poset front ends."""
 
-from .complexes import (ColoredRelativeComplex, GroupAction, RelativePair,
+from .complexes import (ColoredRelativeComplex, GroupAction,
                         color_automorphism_group, dump_complex, load_complex)
 from .corpus import (random_complexes, random_double_posets, random_graphs,
                      small_mixed_graphs, tertispecial_double_posets)

@@ -390,6 +390,10 @@ def build_parser():
     return p
 
 
+# Built once: parse_args keeps no state between calls.
+PARSER = build_parser()
+
+
 def _emit(report, as_json):
     if as_json:
         print(json.dumps(_jsonable(report), indent=2))
@@ -422,7 +426,7 @@ def _emit(report, as_json):
 
 
 def run(argv):
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     report = {"command": args.command, "started": time.strftime("%Y-%m-%dT%H:%M:%S")}
     t0 = time.time()
     try:

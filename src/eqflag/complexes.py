@@ -7,12 +7,15 @@ are frozensets of vertex indices.  The empty face is allowed in Phi.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .groups import DEFAULT_ORDER_BOUND, PermGroup, automorphism_search
 
 MAX_VERTICES = 32
 MAX_FACES = 1 << 20
+# a face of more vertices has more than MAX_FACES subsets in Delta
+MAX_FACE_SIZE = MAX_FACES.bit_length() - 1
 
 
 class ComplexError(Exception):
@@ -20,10 +23,6 @@ class ComplexError(Exception):
 
 
 class InvalidComplex(ComplexError):
-    pass
-
-
-class FaceNotInDelta(ComplexError):
     pass
 
 
@@ -56,6 +55,13 @@ class ColoredRelativeComplex:
         self.coloring = list(coloring)
         self.d = num_colors
         self.faces = frozenset(frozenset(f) for f in faces)
+        # checked before the closure, which lists 2^|f| subsets of each face
+        for f in self.faces:
+            if len(f) > num_colors:
+                raise InvalidComplex(f"a face of {len(f)} vertices repeats one "
+                                     f"of {num_colors} colors")
+            if len(f) > MAX_FACE_SIZE:
+                raise InvalidComplex(f"a face of more than {MAX_FACE_SIZE} vertices")
         self.delta = frozenset(downward_closure(self.faces))
         self.gamma = self.delta - self.faces
         if check:
@@ -74,7 +80,8 @@ class ColoredRelativeComplex:
         return max(len(f) for f in self.faces) - 1
 
     def validate(self):
-        """List of violation descriptions (empty when valid)."""
+        """List of violation descriptions (empty when valid), each kind in
+        sorted order."""
         problems = []
         if self.d < 0:
             problems.append(f"negative number of colors {self.d}")
@@ -82,40 +89,27 @@ class ColoredRelativeComplex:
             if not 1 <= c <= self.d:
                 problems.append(f"vertex {self.vertices[i]} has color {c} outside 1..{self.d}")
         # balanced: the coloring is injective on every face
-        for f in self.faces:
-            if len(self.colorset(f)) != len(f):
-                problems.append(f"face {self.label(f)} repeats a color")
-        # purity: every face extends to a size-d face inside Phi
-        top = [f for f in self.faces if len(f) == self.d]
-        for f in self.faces:
-            if not any(f <= t for t in top):
-                problems.append(f"face {self.label(f)} has no size-{self.d} extension")
-        # sandwich: rho <= sigma <= tau with rho, tau in Phi forces sigma in Phi
-        for tau in self.faces:
-            for rho in self.faces:
-                if rho < tau:
-                    mid = sorted(tau - rho)
-                    for r in range(1, len(mid)):
-                        for extra in combinations(mid, r):
-                            sigma = rho | frozenset(extra)
-                            if sigma not in self.faces:
-                                problems.append(
-                                    f"sandwich violated: {self.label(rho)} <= "
-                                    f"{self.label(sigma)} <= {self.label(tau)}")
-        # Gamma must be downward closed (a consequence; assert anyway)
-        for f in self.gamma:
-            for v in f:
-                if f - {v} not in self.gamma and f - {v} not in self.faces:
-                    problems.append(f"{self.label(f - {v})} escapes Delta")
+        for f in sorted((f for f in self.faces if len(self.colorset(f)) != len(f)), key=sorted):
+            problems.append(f"face {self.label(f)} repeats a color")
+        # purity: every face lies in a size-d face of Phi
+        pure = downward_closure(f for f in self.faces if len(f) == self.d)
+        for f in sorted((f for f in self.faces if f not in pure), key=sorted):
+            problems.append(f"face {self.label(f)} has no size-{self.d} extension")
+        # sandwich: rho <= sigma <= tau with rho, tau in Phi forces sigma in
+        # Phi.  That holds exactly when Gamma is downward closed, and when it
+        # is not, some Gamma face lies one vertex above a Phi face.
+        broken = sorted(((sigma - {v}, sigma) for sigma in self.gamma for v in sigma
+                         if sigma - {v} in self.faces),
+                        key=lambda pair: (sorted(pair[1]), sorted(pair[0])))
+        for rho, sigma in broken:
+            tau = min((f for f in self.faces if sigma < f),
+                      key=lambda f: (len(f), sorted(f)))
+            problems.append(f"sandwich violated: {self.label(rho)} <= "
+                            f"{self.label(sigma)} <= {self.label(tau)}")
         return problems
 
     def label(self, face):
         return "{" + ",".join(str(self.vertices[v]) for v in sorted(face)) + "}"
-
-    def faces_by_colorset(self, s):
-        """The fiber: faces whose color set is exactly s."""
-        s = frozenset(s)
-        return {f for f in self.faces if self.colorset(f) == s}
 
     def color_restriction(self, s):
         """Faces of Phi whose colors lie inside s (no re-indexing)."""
@@ -134,68 +128,23 @@ class ColoredRelativeComplex:
             [rank[self.coloring[v]] for v in keep],
             len(s), faces, check=False)
 
-    def link(self, sigma):
-        """The relative pair (lk_Delta(sigma), lk_Gamma(sigma)).
-
-        Returned as a RelativePair on the colors missing from sigma; vertex
-        indexing is inherited from this complex.
-        """
-        sigma = frozenset(sigma)
-        if sigma not in self.delta:
-            raise FaceNotInDelta(f"{self.label(sigma)} is not a face of Delta")
-        lk_delta = {f - sigma for f in self.delta if sigma <= f}
-        lk_gamma = {f - sigma for f in self.gamma if sigma <= f}
-        return RelativePair(self, lk_delta, lk_gamma)
-
-    def delete(self, vertex_set):
-        """The pair (Delta minus the vertices, Gamma minus the vertices)."""
-        vs = frozenset(vertex_set)
-        return RelativePair(self,
-                            {f for f in self.delta if not (f & vs)},
-                            {f for f in self.gamma if not (f & vs)})
-
-    def is_independent(self, j):
-        j = frozenset(j)
-        return all(len(f & j) <= 1 for f in self.delta)
-
-    def is_excellent(self, j):
-        j = frozenset(j)
-        facets = [f for f in self.delta
-                  if not any(f < g for g in self.delta)]
-        return all(len(f & j) == 1 for f in facets)
-
-    def as_pair(self):
-        return RelativePair(self, set(self.delta), set(self.gamma))
+    @cached_property
+    def links(self):
+        """Map every face sigma of Delta to its link in Phi, [f - sigma : f in
+        Phi, sigma <= f]: the Phi-part lk_Delta(sigma) minus lk_Gamma(sigma)
+        of its relative link.  Built on first use."""
+        index = {}
+        for f in self.faces:
+            verts = sorted(f)
+            for r in range(len(verts) + 1):
+                for sigma in combinations(verts, r):
+                    sigma = frozenset(sigma)
+                    index.setdefault(sigma, []).append(f - sigma)
+        return index
 
     def __repr__(self):
         return (f"ColoredRelativeComplex(|V|={len(self.vertices)}, d={self.d}, "
                 f"|Phi|={len(self.faces)})")
-
-
-class RelativePair:
-    """A pair (X, Y) of face sets with Y a subcomplex of X; Phi = X \\ Y.
-
-    Homology of the pair depends only on phi_faces, so links and deletions
-    are handed downstream as plain face sets.
-    """
-
-    def __init__(self, parent, big, small):
-        self.parent = parent
-        self.big = frozenset(frozenset(f) for f in big)
-        self.small = frozenset(frozenset(f) for f in small)
-        self.phi_faces = self.big - self.small
-
-    @property
-    def is_void(self):
-        return not self.big
-
-    def phi_dim(self):
-        if not self.phi_faces:
-            return None
-        return max(len(f) for f in self.phi_faces) - 1
-
-    def __repr__(self):
-        return f"RelativePair(|X|={len(self.big)}, |Y|={len(self.small)})"
 
 
 class GroupAction:

@@ -87,14 +87,11 @@ class DoublePoset:
         return all(self.leq2[a][b] or self.leq2[b][a] for a, b in self.covers1())
 
     def is_inversion_reducible(self):
-        """Every inversion is a descent or splits at an intermediate element."""
-        cov = set(self.covers1())
-        for a, b in self.inversions():
-            if (a, b) in cov:
-                continue
-            if not any(self.lt1(a, c) and self.lt1(c, b) for c in range(self.n)):
-                return False
-        return True
+        """Every inversion (a, b) lies over a descent (x, y), a <=_1 x and
+        y <=_1 b, so that the cover graph forces f(a) <= f(x) < f(y) <= f(b)."""
+        desc = self.descents()
+        return all(any(self.leq1[a][x] and self.leq1[y][b] for x, y in desc)
+                   for a, b in self.inversions())
 
     def is_d_partition(self, f):
         return (all(f[a] <= f[b] for a in range(self.n) for b in range(self.n)

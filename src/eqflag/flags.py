@@ -2,14 +2,15 @@
 functions, the two-set refinement h_{S,T}, and inequality verifiers.
 
 The flag f-character f_S is the permutation character of the group acting on
-the faces whose color set is exactly S; h_S is its inclusion-exclusion
-transform over subsets of S.  A key simplification used throughout: for
-Q inside T, the Q-fiber of the color restriction to T equals the Q-fiber of
-the whole family, so restrictions never need re-indexing here.
+the S-fiber, the faces whose color set is exactly S.  `fibers` buckets a face
+family by color set in one pass, and every f_S, h_S and h_{S,T} here is read
+off one such table: h_S is its inclusion-exclusion transform over the color
+sets inside S.  For Q inside T, the Q-fiber of the color restriction to T
+equals the Q-fiber of the whole family, so restrictions never need
+re-indexing here.  Links come from the complex's link index.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -27,23 +28,29 @@ class ThreeWayMismatch(FlagError):
     pass
 
 
-def fiber(faces, coloring, s):
-    """Faces with color set exactly s."""
-    s = frozenset(s)
-    return [f for f in faces if frozenset(coloring[v] for v in f) == s]
+def fibers(faces, coloring):
+    """Map each color set to the faces with exactly that color set, in one
+    pass over the faces."""
+    out = {}
+    for f in faces:
+        out.setdefault(frozenset(coloring[v] for v in f), []).append(f)
+    return out
 
 
-def fiber_character(faces, coloring, group, s):
-    """Permutation character of the group on the s-fiber."""
-    fib = fiber(faces, coloring, s)
-    return permutation_character(group, fib, lambda g, f: g.apply_set(f), check=False)
+def fiber_characters(faces, coloring, group):
+    """Map each color set S to f_S, the permutation character of the group on
+    the S-fiber; color sets with an empty fiber are left out."""
+    return {s: permutation_character(group, fib, lambda g, f: g.apply_set(f), check=False)
+            for s, fib in fibers(faces, coloring).items()}
 
 
-def h_character(faces, coloring, group, s):
-    """h_S = alternating sum of f_T over subsets T of S."""
+def h_from_f(f_chars, s, group):
+    """h_S = sum of (-1)^(|S|-|Q|) f_Q over the color sets Q <= S of a
+    fiber_characters table."""
     total = ClassFunction.zero(group)
-    for t in subsets(sorted(s)):
-        total = total + ((-1) ** (len(s) - len(t))) * fiber_character(faces, coloring, group, t)
+    for q, cf in f_chars.items():
+        if q <= s:
+            total = total + ((-1) ** (len(s) - len(q))) * cf
     return total
 
 
@@ -57,25 +64,23 @@ class FlagVectors:
 
     def __init__(self, cx, action):
         self.complex = cx
-        self.group = action.group
-        faces, coloring, g = cx.faces, cx.coloring, action.group
+        self.group = g = action.group
+        f_chars = fiber_characters(cx.faces, cx.coloring, g)
+        # every face lies in exactly one fiber
+        assert sum(cf.at_identity for cf in f_chars.values()) == len(cx.faces)
         self.fS = {}
         self.hS = {}
         for s in subsets(range(1, cx.d + 1)):
-            self.fS[s] = fiber_character(faces, coloring, g, s)
-            total = ClassFunction.zero(g)
-            for t in subsets(s):
-                total = total + ((-1) ** (len(s) - len(t))) * self.fS[t]
-            self.hS[s] = total
+            self.fS[s] = f_chars.get(frozenset(s), ClassFunction.zero(g))
+            self.hS[s] = h_from_f(f_chars, frozenset(s), g)
         self.fi = [ClassFunction.zero(g) for _ in range(cx.d + 1)]
         self.hi = [ClassFunction.zero(g) for _ in range(cx.d + 1)]
         for s, cf in self.fS.items():
             self.fi[len(s)] = self.fi[len(s)] + cf
         for s, cf in self.hS.items():
             self.hi[len(s)] = self.hi[len(s)] + cf
-        # sanity: f_S at the identity counts the fiber; h inverts back to f
+        # sanity: h inverts back to f
         for s, cf in self.fS.items():
-            assert cf.at_identity == len(fiber(faces, coloring, s))
             back = ClassFunction.zero(g)
             for t in subsets(s):
                 back = back + self.hS[t]
@@ -103,8 +108,9 @@ def orbital_hilb(cx, action, out_group=None):
     if out_group is None:
         out_group = close_group([], degree=1)
     coeffs = {}
+    fibs = fibers(cx.faces, cx.coloring)
     for s in subsets(range(1, cx.d + 1)):
-        fib = fiber(cx.faces, cx.coloring, s)
+        fib = fibs.get(frozenset(s))
         if not fib:
             continue
         n = orbit_count(action.group, fib, lambda g, f: g.apply_set(f), check=False)
@@ -112,12 +118,7 @@ def orbital_hilb(cx, action, out_group=None):
     return QSymClassFunction(cx.d + 1, out_group, "M", coeffs)
 
 
-def _link_faces(faces, tau):
-    tau = frozenset(tau)
-    return [f - tau for f in faces if tau <= f]
-
-
-def h_st(cx, action, s, t, fv=None):
+def h_st(cx, action, s, t):
     """The refinement h_{S,T}, computed three ways and asserted equal.
 
     (a) sum of h_R over S <= R <= T, on the color restriction to T;
@@ -130,34 +131,23 @@ def h_st(cx, action, s, t, fv=None):
     if not s <= t:
         raise ValueError("need S a subset of T")
     g = action.group
-    faces, coloring = cx.faces, cx.coloring
-    rest = list(cx.color_restriction(t))
+    coloring = cx.coloring
+    f_chars = fiber_characters(cx.color_restriction(t), coloring, g)
 
     via_a = ClassFunction.zero(g)
     mid = sorted(t - s)
     for r in range(len(mid) + 1):
         for extra in combinations(mid, r):
-            via_a = via_a + h_character(rest, coloring, g, s | frozenset(extra))
+            via_a = via_a + h_from_f(f_chars, s | frozenset(extra), g)
 
     via_b = ClassFunction.zero(g)
-    base = t - s
-    opt = sorted(s)
-    for r in range(len(opt) + 1):
-        for extra in combinations(opt, r):
-            q = base | frozenset(extra)
-            sign = (-1) ** (len(t) - len(q))
-            via_b = via_b + sign * fiber_character(rest, coloring, g, q)
+    for q, cf in f_chars.items():
+        if t - s <= q:
+            via_b = via_b + ((-1) ** (len(t) - len(q))) * cf
 
-    # the transversal runs over the (T\S)-fiber of the closure Delta: the
-    # colored part of a Phi-face need not itself be a Phi-face
     via_c = ClassFunction.zero(g)
-    fib = fiber(cx.delta, coloring, t - s)
-    for orb in orbits(g, fib, lambda p, f: p.apply_set(f)):
-        tau = min(orb, key=sorted)
-        stab = stabilizer(g, tau, lambda p, f: p.apply_set(f))
-        link = _link_faces(faces, tau)
-        in_s = [f for f in link if frozenset(coloring[v] for v in f) <= s]
-        local = h_character(in_s, coloring, stab, s)
+    for stab, link in _transversal_links(cx, g, s, t):
+        local = h_from_f(fiber_characters(link, coloring, stab), s, stab)
         via_c = via_c + induce(local, g)
 
     if not (via_a == via_b == via_c):
@@ -166,26 +156,28 @@ def h_st(cx, action, s, t, fv=None):
     return via_a
 
 
+def _transversal_links(cx, g, s, t):
+    """(stabilizer of tau, the color-S part of the link of tau) for one tau
+    in each g-orbit of the (T\\S)-fiber of the closure Delta: the colored part
+    of a Phi-face need not itself be a Phi-face."""
+    fib = fibers(cx.delta, cx.coloring).get(t - s, [])
+    for orb in orbits(g, fib, lambda p, f: p.apply_set(f)):
+        tau = min(orb, key=sorted)
+        link = [f for f in cx.links[tau] if frozenset(cx.coloring[v] for v in f) <= s]
+        yield stabilizer(g, tau, lambda p, f: p.apply_set(f)), link
+
+
 def homology_h_st(cx, action, s, t):
     """h_{S,T} in homology form: induced characters of the top homology of the
     color-S restriction of each transversal link (simplicial dimension
     |S| - 1, since the restricted link has faces of size at most |S|)."""
     s, t = frozenset(s), frozenset(t)
     g = action.group
-    faces, coloring = cx.faces, cx.coloring
     target_dim = len(s) - 1
-
-    def link_term(tau, stab):
-        in_s = [f for f in _link_faces(faces, tau)
-                if frozenset(coloring[v] for v in f) <= s]
-        traces = equivariant_homology_traces(in_s, stab)
-        return traces.get(target_dim, ClassFunction.zero(stab))
-
     total = ClassFunction.zero(g)
-    for orb in orbits(g, fiber(cx.delta, coloring, t - s), lambda p, f: p.apply_set(f)):
-        tau = min(orb, key=sorted)
-        stab = stabilizer(g, tau, lambda p, f: p.apply_set(f))
-        total = total + induce(link_term(tau, stab), g)
+    for stab, link in _transversal_links(cx, g, s, t):
+        traces = equivariant_homology_traces(link, stab)
+        total = total + induce(traces.get(target_dim, ClassFunction.zero(stab)), g)
     return total
 
 

@@ -13,26 +13,12 @@ from itertools import combinations
 from .homology import homology_vanishes_up_to
 
 
-def _star_index(cx):
-    """Map every face sigma of Delta to its link in Phi, {f - sigma : f in Phi,
-    sigma <= f}; these are the Phi-faces of the relative link of sigma."""
-    index = {}
-    for f in cx.faces:
-        verts = sorted(f)
-        for r in range(len(verts) + 1):
-            for sigma in combinations(verts, r):
-                sigma = frozenset(sigma)
-                index.setdefault(sigma, []).append(f - sigma)
-    return index
-
-
 def satisfies_serre(cx, ell):
     """Check (S_ell); returns (ok, witness) with witness = (sigma, i) on failure."""
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    star = _star_index(cx)
-    for sigma in sorted(star, key=lambda f: (len(f), sorted(f))):
-        link = star[sigma]
+    for sigma in sorted(cx.links, key=lambda f: (len(f), sorted(f))):
+        link = cx.links[sigma]
         link_dim = max(len(f) for f in link) - 1
         # condition: H_{i-1}(link) = 0 for i <= min(link_dim, ell - 1),
         # i.e. homology dims -1 .. min(link_dim, ell - 1) - 1 all vanish
@@ -54,7 +40,7 @@ def serre_depth(cx, max_ell=None):
     below the current cap.
     """
     cap = cx.d if max_ell is None else min(max_ell, cx.d)
-    for link in _star_index(cx).values():
+    for link in cx.links.values():
         if cap <= 0:
             break
         bound = min(max(len(f) for f in link) - 1, cap - 1) - 1

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA
 
-from eqflag.cli import run
+from eqflag.cli import PARSER, run
 
 
 def path(name):
@@ -79,6 +79,30 @@ class TestExitCodes:
         assert code == 2
         assert report["error"] == "InvalidComplex: more than 32 vertices"
         assert time.perf_counter() - t0 < 1.0
+
+    def test_validate_checks_face_size_first(self, capsys, tmp_path):
+        # one face of 21 vertices: Delta alone would have 2^21 faces
+        names = [f"x{i}" for i in range(21)]
+        for num_colors in (3, 21):
+            colors = {v: 1 + i % num_colors for i, v in enumerate(names)}
+            data = {"vertices": names, "colors": colors, "num_colors": num_colors,
+                    "faces": [names]}
+            t0 = time.perf_counter()
+            code, report = run_json(capsys, "validate", "--complex",
+                                    write(tmp_path, "big.json", data))
+            assert code == 2 and report["error"].startswith("InvalidComplex")
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_compile_long_directed_path(self, capsys, tmp_path):
+        # 8,192 stable chains: validation is linear in the faces
+        names = [f"p{i}" for i in range(14)]
+        arcs = [list(e) for e in zip(names, names[1:])]
+        graph = write(tmp_path, "path14.json",
+                      {"vertices": names, "undirected": [], "directed": arcs})
+        t0 = time.perf_counter()
+        code, report = run_json(capsys, "compile", "--graph", graph)
+        assert code == 0 and len(report["complex"]["faces"]) == 8192
+        assert time.perf_counter() - t0 < 10.0
 
     def test_chromatic_checks_size_cap_first(self, capsys, tmp_path):
         graph = write(tmp_path, "iso13.json", isolated(13))
@@ -179,6 +203,22 @@ class TestGlobalFlags:
     def test_flag_before_is_not_overwritten(self, capsys):
         code, report = run_json(capsys, "--bound", "1", "hilb", "--complex", path("fig1.json"))
         assert code == 2 and "exceeds bound 1" in report["error"]
+
+    def test_one_parser_many_commands(self):
+        """The module's parser, reused: no value carries over from one parse
+        to the next, with the flags before or after the subcommand."""
+        defaults = PARSER.parse_args(["hilb", "--complex", "a.json"])
+        assert (defaults.json, defaults.seed, defaults.basis) == (False, 0, "m")
+        for before, after in (([], ["--json", "--seed", "3", "--bound", "7"]),
+                              (["--json", "--seed", "3", "--bound", "7"], [])):
+            args = PARSER.parse_args([*before, "hilb", "--complex", "b.json",
+                                      "--basis", "f", *after])
+            assert (args.json, args.seed, args.bound) == (True, 3, 7)
+            assert (args.complex, args.basis) == ("b.json", "f")
+            again = PARSER.parse_args(["serre", "--complex", "c.json"])
+            assert (again.json, again.seed, again.ell) == (False, 0, None)
+            assert not hasattr(again, "basis")
+        assert vars(PARSER.parse_args(["hilb", "--complex", "a.json"])) == vars(defaults)
 
 
 class TestDeterminism:

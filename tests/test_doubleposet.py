@@ -3,6 +3,8 @@ import json
 import os
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA, fig2_dposet, fig3_dposet
 
@@ -95,6 +97,55 @@ class TestCoverGraph:
     def test_fig3_graph_cycle_free(self):
         st = to_mixed_graph(fig3_dposet()).stats()
         assert st["acyclic"] and not st["coherent_mixed_cycles"]
+
+
+def assert_reducible_means_equal(dp):
+    """Where the predicate holds, the D-partitions are exactly the weak
+    colorings of the cover graph."""
+    if dp.is_inversion_reducible():
+        grp = dp.automorphism_group()
+        assert omega_qsym(dp, grp) == chromatic_qsym(to_mixed_graph(dp), grp)
+
+
+@st.composite
+def double_posets(draw):
+    n = draw(st.integers(1, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    rel1 = draw(st.lists(pair, max_size=6))
+    rel2 = draw(st.lists(pair, max_size=6))
+    try:
+        return DoublePoset([f"e{i}" for i in range(n)], rel1, rel2)
+    except NotAPartialOrder:
+        assume(False)
+
+
+class TestInversionReducible:
+    def test_random_double_posets(self):
+        sample = random_double_posets(300, seed=0)
+        reducible = [dp for dp in sample if dp.is_inversion_reducible()]
+        assert 0 < len(reducible) < len(sample)
+        for dp in reducible:
+            assert_reducible_means_equal(dp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(double_posets())
+    def test_hypothesis_double_posets(self, dp):
+        assert_reducible_means_equal(dp)
+
+    def test_tertispecial_is_reducible(self):
+        assert all(dp.is_inversion_reducible() for dp in tertispecial_double_posets(100, seed=1))
+
+    def test_inversion_over_no_descent(self):
+        # e2 <1 e3 <1 e1 <1 e0 with e1 <2 e2 and e3 <2 e0: the inversion
+        # (e2, e1) spans two covers, neither of them a descent
+        e0, e1, e2, e3 = range(4)
+        dp = DoublePoset(["e0", "e1", "e2", "e3"], [(e2, e3), (e3, e1), (e1, e0)],
+                         [(e1, e2), (e3, e0)])
+        assert dp.inversions() == [(e2, e1)] and dp.descents() == []
+        assert not dp.is_inversion_reducible()
+        grp = dp.automorphism_group()
+        assert omega_qsym(dp, grp) != chromatic_qsym(to_mixed_graph(dp), grp)
+        assert verify_doubleposet_theorems(dp)["ok"]
 
 
 class TestVerifier:

@@ -1,16 +1,83 @@
-"""Flag f/h characters, Hilb expansions, h_{S,T}, and the theorem verifiers."""
+"""Flag f/h characters, Hilb expansions, h_{S,T}, and the theorem verifiers.
+
+The one-pass fiber tables are checked against the path they replaced, which
+rescans every face for every color set.
+"""
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fig1_complex, fig1_z2
 
 from eqflag.complexes import GroupAction, color_automorphism_group
-from eqflag.corpus import random_complexes
+from eqflag.corpus import random_complex, random_complexes
 from eqflag.flags import (FlagVectors, h_st, hilb, homology_h_st, orbital_hilb,
                           verify_eulerchar2, verify_intro1, verify_intro2,
                           verify_intro3)
-from eqflag.groups import character_table, close_group, is_effective
+from eqflag.groups import (ClassFunction, character_table, close_group, induce,
+                           is_effective, orbits, permutation_character, stabilizer)
 from eqflag.qsym import principal_specialization, subsets
 from eqflag.serre import serre_depth
+
+
+def fiber(faces, coloring, s):
+    """Faces with color set exactly s."""
+    s = frozenset(s)
+    return [f for f in faces if frozenset(coloring[v] for v in f) == s]
+
+
+def fiber_character(faces, coloring, group, s):
+    fib = fiber(faces, coloring, s)
+    return permutation_character(group, fib, lambda g, f: g.apply_set(f), check=False)
+
+
+def h_character(faces, coloring, group, s):
+    """h_S = alternating sum of f_T over subsets T of S, one rescan each."""
+    total = ClassFunction.zero(group)
+    for t in subsets(sorted(s)):
+        total = total + ((-1) ** (len(s) - len(t))) * fiber_character(faces, coloring, group, t)
+    return total
+
+
+def h_st_by_rescan(cx, action, s, t):
+    """h_{S,T} three ways, every fiber and link found by a scan of its own."""
+    s, t = frozenset(s), frozenset(t)
+    g, coloring = action.group, cx.coloring
+    rest = list(cx.color_restriction(t))
+    via_a = ClassFunction.zero(g)
+    mid = sorted(t - s)
+    for r in range(len(mid) + 1):
+        for extra in combinations(mid, r):
+            via_a = via_a + h_character(rest, coloring, g, s | frozenset(extra))
+    via_b = ClassFunction.zero(g)
+    opt = sorted(s)
+    for r in range(len(opt) + 1):
+        for extra in combinations(opt, r):
+            q = (t - s) | frozenset(extra)
+            via_b = via_b + (-1) ** (len(t) - len(q)) * fiber_character(rest, coloring, g, q)
+    via_c = ClassFunction.zero(g)
+    for orb in orbits(g, fiber(cx.delta, coloring, t - s), lambda p, f: p.apply_set(f)):
+        tau = min(orb, key=sorted)
+        stab = stabilizer(g, tau, lambda p, f: p.apply_set(f))
+        in_s = [f - tau for f in cx.faces
+                if tau <= f and frozenset(coloring[v] for v in f - tau) <= s]
+        via_c = via_c + induce(h_character(in_s, coloring, stab, s), g)
+    assert via_a == via_b == via_c
+    return via_a
+
+
+def assert_flags_match_rescan(cx):
+    action = GroupAction(cx, color_automorphism_group(cx))
+    g = action.group
+    fv = FlagVectors(cx, action)
+    for s in subsets(range(1, cx.d + 1)):
+        assert fv.fS[s] == fiber_character(cx.faces, cx.coloring, g, s)
+        assert fv.hS[s] == h_character(cx.faces, cx.coloring, g, s)
+        for q in subsets(s):
+            t, sub = frozenset(s), frozenset(q)
+            assert h_st(cx, action, sub, t) == h_st_by_rescan(cx, action, sub, t)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +165,17 @@ class TestHst:
             for t in subsets(range(1, cx.d + 1)):
                 for s in subsets(t):
                     h_st(cx, act, frozenset(s), frozenset(t))  # asserts equality
+
+
+class TestAgainstRescan:
+    def test_corpus(self):
+        for cx in random_complexes(60, seed=0):
+            assert_flags_match_rescan(cx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_complexes(self, rng):
+        assert_flags_match_rescan(random_complex(rng, 1, 4))
 
 
 class TestVerifiers:
