@@ -11,10 +11,9 @@ from .flags import (FlagVectors, h_st, hilb, homology_h_st, orbital_hilb,
                     verify_eulerchar2, verify_intro1, verify_intro2,
                     verify_intro3)
 from .groups import (ClassFunction, CharacterTable, PermGroup, Permutation,
-                     character_table, close_group, decompose, induce,
-                     inner_product, is_effective, leq_g, load_group,
-                     orbit_count, orbits, permutation_character, stabilizer,
-                     subgroup)
+                     character_table, close_group, decompose, inner_product,
+                     is_effective, leq_g, load_group, orbit_count, orbits,
+                     permutation_character)
 from .homology import (ChainComplex, betti, equivariant_homology_traces,
                        homology_vanishes_up_to, hopf_trace_check)
 from .mixedgraph import (MixedGraph, chromatic_qsym, coloring_complex,

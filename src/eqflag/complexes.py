@@ -62,6 +62,10 @@ class ColoredRelativeComplex:
                                      f"of {num_colors} colors")
             if len(f) > MAX_FACE_SIZE:
                 raise InvalidComplex(f"a face of more than {MAX_FACE_SIZE} vertices")
+        # a pure non-void complex with more colours has a larger face, and
+        # the dense flag tables have 2^num_colors colour sets
+        if num_colors > MAX_FACE_SIZE:
+            raise InvalidComplex(f"more than {MAX_FACE_SIZE} colors")
         self.delta = frozenset(downward_closure(self.faces))
         self.gamma = self.delta - self.faces
         if check:
@@ -164,6 +168,13 @@ class GroupAction:
                 if g.apply_set(f) not in cx.faces:
                     raise ActionDoesNotPreservePair(
                         f"face {cx.label(f)} leaves the complex under {g!r}")
+
+    @cached_property
+    def flag_table(self):
+        """The flags.FlagTable of this action, built on first use; not cached
+        on the complex, which can meet several groups."""
+        from .flags import FlagTable
+        return FlagTable(self)
 
     def fixed_faces(self, g, faces=None):
         """Faces fixed setwise by g; such faces are fixed vertexwise (asserted),

@@ -1,23 +1,24 @@
 """Equivariant flag enumeration: f/h characters, Hilbert-series class
 functions, the two-set refinement h_{S,T}, and inequality verifiers.
 
-The flag f-character f_S is the permutation character of the group acting on
-the S-fiber, the faces whose color set is exactly S.  `fibers` buckets a face
-family by color set in one pass, and every f_S, h_S and h_{S,T} here is read
-off one such table: h_S is its inclusion-exclusion transform over the color
-sets inside S.  For Q inside T, the Q-fiber of the color restriction to T
-equals the Q-fiber of the whole family, so restrictions never need
-re-indexing here.  Links come from the complex's link index.
+Every character here is a count of fixed points (Stanley, "Some aspects of
+groups acting on finite posets", JCTA 1982), so all of them are read off one
+integer table per action, `FlagTable`, with one value per class
+representative.  Colour sets are bitmasks (colour c is bit c - 1), and the
+subset sums run over submasks (Bjorklund, Husfeldt, Kaski and Koivisto,
+STOC 2007).  For Q inside T, the Q-fiber of the colour restriction to T
+equals the Q-fiber of the whole family, so restrictions need no table of
+their own.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cached_property
 from math import comb
 
-from .groups import (ClassFunction, close_group, induce, is_effective, leq_g,
-                     orbit_count, orbits, permutation_character, stabilizer)
-from .homology import equivariant_homology_traces
-from .qsym import QSymClassFunction, m_to_f, subsets
+from .groups import ClassFunction, close_group, is_effective, leq_g, orbit_count
+from .homology import ChainComplex, element_traces, equivariant_homology_traces
+from .qsym import (QSymClassFunction, add_scaled, from_masks, m_to_f, mask,
+                   submasks, subsets)
 
 
 class FlagError(Exception):
@@ -37,27 +38,87 @@ def fibers(faces, coloring):
     return out
 
 
-def fiber_characters(faces, coloring, group):
-    """Map each color set S to f_S, the permutation character of the group on
-    the S-fiber; color sets with an empty fiber are left out."""
-    return {s: permutation_character(group, fib, lambda g, f: g.apply_set(f), check=False)
-            for s, fib in fibers(faces, coloring).items()}
+def _masks(face, coloring):
+    """(vertex mask, colour mask) of a face."""
+    return sum(1 << v for v in face), mask(coloring[v] for v in face)
 
 
-def h_from_f(f_chars, s, group):
-    """h_S = sum of (-1)^(|S|-|Q|) f_Q over the color sets Q <= S of a
-    fiber_characters table."""
-    total = ClassFunction.zero(group)
-    for q, cf in f_chars.items():
-        if q <= s:
-            total = total + ((-1) ** (len(s) - len(q))) * cf
-    return total
+def subset_transform(rows, sign):
+    """Entry S of a dense table indexed by bitmask becomes the sum over Q <= S
+    of sign^|S - Q| times entry Q: the zeta transform for sign 1, the Moebius
+    transform for sign -1, in d passes over the 2^d rows."""
+    rows = list(rows)
+    bit = 1
+    while bit < len(rows):
+        for m in range(len(rows)):
+            if m & bit:
+                rows[m] = [a + sign * b for a, b in zip(rows[m], rows[m ^ bit])]
+        bit <<= 1
+    return rows
+
+
+class FlagTable:
+    """Fixed-point counts of one action, as lists of ints over the class
+    representatives.  A colour-preserving g fixes a face setwise exactly when
+    it fixes each of its vertices, so each count tests a vertex mask against
+    the points g fixes.
+
+    f[Q] counts the Phi-faces of colour set Q, for the colour sets of
+    non-empty fibers only.  h, dense over all 2^d colour sets, is the Moebius
+    transform of f.  links[A][Q] counts the pairs (tau, rho) with tau in
+    Delta of colour set A and rho in lk tau of colour set Q; g fixes the pair
+    when it fixes both.  h and links are built on first use, links from the
+    complex's link index.
+    """
+
+    def __init__(self, action):
+        self.complex = cx = action.complex
+        self.fixed = [sum(1 << v for v, w in enumerate(g.images) if v == w)
+                      for g in action.group.class_reps]
+        self.f = {}
+        for face in cx.faces:
+            vertices, colours = _masks(face, cx.coloring)
+            self._tally(self.f, colours, vertices)
+        self.link_homology = {}    # (tau, S) -> chain complex, Betti cache
+
+    def _tally(self, table, key, vertices):
+        row = table.setdefault(key, [0] * len(self.fixed))
+        for k, fixed in enumerate(self.fixed):
+            if not vertices & ~fixed:
+                row[k] += 1
+
+    @cached_property
+    def h(self):
+        zero = [0] * len(self.fixed)
+        return subset_transform((self.f.get(m, zero) for m in range(1 << self.complex.d)), -1)
+
+    @cached_property
+    def delta_fibers(self):
+        """Colour set A -> (tau, vertex mask) for each tau in Delta of colour set A."""
+        out = {}
+        for tau in self.complex.links:
+            vertices, a = _masks(tau, self.complex.coloring)
+            out.setdefault(a, []).append((tau, vertices))
+        return out
+
+    @cached_property
+    def links(self):
+        cx = self.complex
+        out = {}
+        for a, taus in self.delta_fibers.items():
+            counts = out[a] = {}
+            for tau, t_vertices in taus:
+                for rho in cx.links[tau]:
+                    vertices, q = _masks(rho, cx.coloring)
+                    self._tally(counts, q, t_vertices | vertices)
+        return out
 
 
 class FlagVectors:
     """All flag f/h characters of a complex with action, plus size aggregates.
 
-    fS/hS: dict from color subset (tuple) to ClassFunction.
+    fS/hS: dict from color subset (tuple) to ClassFunction, every subset of
+    [d] included, read densely off the action's FlagTable.
     fi[i] = sum of f_S over |S| = i (the aggregate f_{i-1});
     hi[i] = sum of h_S over |S| = i (the aggregate h_{i-1}).
     """
@@ -65,36 +126,33 @@ class FlagVectors:
     def __init__(self, cx, action):
         self.complex = cx
         self.group = g = action.group
-        f_chars = fiber_characters(cx.faces, cx.coloring, g)
-        # every face lies in exactly one fiber
-        assert sum(cf.at_identity for cf in f_chars.values()) == len(cx.faces)
+        table = action.flag_table
+        zero = [0] * g.num_classes
+        f = [table.f.get(m, zero) for m in range(1 << cx.d)]
+        # every face lies in exactly one fiber, and h sums back to f
+        assert sum(row[0] for row in f) == len(cx.faces)
+        assert subset_transform(table.h, 1) == f
         self.fS = {}
         self.hS = {}
         for s in subsets(range(1, cx.d + 1)):
-            self.fS[s] = f_chars.get(frozenset(s), ClassFunction.zero(g))
-            self.hS[s] = h_from_f(f_chars, frozenset(s), g)
+            m = mask(s)
+            self.fS[s] = ClassFunction(g, f[m])
+            self.hS[s] = ClassFunction(g, table.h[m])
         self.fi = [ClassFunction.zero(g) for _ in range(cx.d + 1)]
         self.hi = [ClassFunction.zero(g) for _ in range(cx.d + 1)]
         for s, cf in self.fS.items():
             self.fi[len(s)] = self.fi[len(s)] + cf
         for s, cf in self.hS.items():
             self.hi[len(s)] = self.hi[len(s)] + cf
-        # sanity: h inverts back to f
-        for s, cf in self.fS.items():
-            back = ClassFunction.zero(g)
-            for t in subsets(s):
-                back = back + self.hS[t]
-            assert back == cf
 
 
 def hilb(cx, action, basis="M"):
     """The flag quasisymmetric class function, degree d+1.
 
     M-coefficient of a color set S is the permutation character on the
-    S-fiber; the F basis is obtained by conversion.
+    S-fiber, one per non-empty fiber; the F basis is obtained by conversion.
     """
-    fv = FlagVectors(cx, action)
-    q = QSymClassFunction(cx.d + 1, action.group, "M", dict(fv.fS))
+    q = from_masks(cx.d + 1, action.group, "M", action.flag_table.f)
     if basis == "F":
         return m_to_f(q)
     return q
@@ -119,66 +177,60 @@ def orbital_hilb(cx, action, out_group=None):
 
 
 def h_st(cx, action, s, t):
-    """The refinement h_{S,T}, computed three ways and asserted equal.
+    """The refinement h_{S,T}, computed three ways from the action's
+    FlagTable and asserted equal.
 
-    (a) sum of h_R over S <= R <= T, on the color restriction to T;
-    (b) alternating sum of f_Q over T\\S <= Q <= T, same restriction;
-    (c) sum over orbit representatives tau of the (T\\S)-fiber of the induced
-        character of h_S of (link of tau) restricted to colors S, over the
-        stabilizer of tau.
+    (a) sum of h_R over S <= R <= T;
+    (b) alternating sum of f_Q over T\\S <= Q <= T;
+    (c) the sum over tau in the (T\\S)-fiber of Delta of the characters
+        Ind h_S(lk tau) induced from the stabilizers of tau.  By Frobenius
+        its value at g is the sum, over the tau that g fixes, of h_S of the
+        colour-S part of lk tau at g: the alternating sum over Q <= S of the
+        fixed pairs (tau, rho) counted in the link table.
     """
     s, t = frozenset(s), frozenset(t)
     if not s <= t:
         raise ValueError("need S a subset of T")
     g = action.group
-    coloring = cx.coloring
-    f_chars = fiber_characters(cx.color_restriction(t), coloring, g)
-
-    via_a = ClassFunction.zero(g)
-    mid = sorted(t - s)
-    for r in range(len(mid) + 1):
-        for extra in combinations(mid, r):
-            via_a = via_a + h_from_f(f_chars, s | frozenset(extra), g)
-
-    via_b = ClassFunction.zero(g)
-    for q, cf in f_chars.items():
-        if t - s <= q:
-            via_b = via_b + ((-1) ** (len(t) - len(q))) * cf
-
-    via_c = ClassFunction.zero(g)
-    for stab, link in _transversal_links(cx, g, s, t):
-        local = h_from_f(fiber_characters(link, coloring, stab), s, stab)
-        via_c = via_c + induce(local, g)
-
+    table = action.flag_table
+    sm, a = mask(s), mask(t - s)
+    via_a, via_b, via_c = ([0] * g.num_classes for _ in range(3))
+    for q in submasks(a):
+        add_scaled(via_a, 1, table.h[sm | q])
+    links = table.links.get(a, {})
+    for q in submasks(sm):
+        sign = (-1) ** (sm ^ q).bit_count()
+        add_scaled(via_b, sign, table.f.get(a | q, ()))
+        add_scaled(via_c, sign, links.get(q, ()))
     if not (via_a == via_b == via_c):
         raise ThreeWayMismatch(f"S={sorted(s)}, T={sorted(t)}: "
-                               f"{via_a.values} / {via_b.values} / {via_c.values}")
-    return via_a
-
-
-def _transversal_links(cx, g, s, t):
-    """(stabilizer of tau, the color-S part of the link of tau) for one tau
-    in each g-orbit of the (T\\S)-fiber of the closure Delta: the colored part
-    of a Phi-face need not itself be a Phi-face."""
-    fib = fibers(cx.delta, cx.coloring).get(t - s, [])
-    for orb in orbits(g, fib, lambda p, f: p.apply_set(f)):
-        tau = min(orb, key=sorted)
-        link = [f for f in cx.links[tau] if frozenset(cx.coloring[v] for v in f) <= s]
-        yield stabilizer(g, tau, lambda p, f: p.apply_set(f)), link
+                               f"{via_a} / {via_b} / {via_c}")
+    return ClassFunction(g, via_a)
 
 
 def homology_h_st(cx, action, s, t):
-    """h_{S,T} in homology form: induced characters of the top homology of the
-    color-S restriction of each transversal link (simplicial dimension
-    |S| - 1, since the restricted link has faces of size at most |S|)."""
+    """h_{S,T} in homology form: at each class representative g, the sum
+    over the tau in the (T\\S)-fiber of Delta that g fixes of the trace of g
+    on the top homology of the colour-S part of lk tau (simplicial dimension
+    |S| - 1, since that part has faces of size at most |S|).  By Frobenius
+    this is the sum over orbits of the characters induced from the
+    stabilizers."""
     s, t = frozenset(s), frozenset(t)
     g = action.group
-    target_dim = len(s) - 1
-    total = ClassFunction.zero(g)
-    for stab, link in _transversal_links(cx, g, s, t):
-        traces = equivariant_homology_traces(link, stab)
-        total = total + induce(traces.get(target_dim, ClassFunction.zero(stab)), g)
-    return total
+    table = action.flag_table
+    dim = len(s) - 1
+    values = [0] * g.num_classes
+    for tau, vertices in table.delta_fibers.get(mask(t - s), []):
+        if (tau, s) not in table.link_homology:
+            cc = ChainComplex(rho for rho in cx.links[tau]
+                              if all(cx.coloring[v] in s for v in rho))
+            cc.check_d_squared()
+            table.link_homology[tau, s] = cc, {}
+        cc, cache = table.link_homology[tau, s]
+        for k, rep in enumerate(g.class_reps):
+            if dim in cc.by_dim and not vertices & ~table.fixed[k]:
+                values[k] += element_traces(cc, rep, [dim], cache)[dim]
+    return ClassFunction(g, values)
 
 
 def verify_eulerchar2(cx, action):

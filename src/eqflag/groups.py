@@ -39,10 +39,6 @@ class GroupMismatch(GroupError):
     pass
 
 
-class NotASubgroup(GroupError):
-    pass
-
-
 class ActionNotClosed(GroupError):
     pass
 
@@ -346,20 +342,6 @@ def automorphism_search(colors, relations, bound=DEFAULT_ORDER_BOUND):
     return PermGroup(n, generators, elements)
 
 
-def subgroup(group, elements):
-    """Wrap a subset of a group's elements (assumed closed) as a PermGroup."""
-    elements = list(elements)
-    elset = set(elements)
-    for g in elements:
-        if g not in group:
-            raise NotASubgroup("element outside the parent group")
-    for g in elements:
-        for h in elements:
-            if g * h not in elset:
-                raise NotASubgroup("element set is not closed under multiplication")
-    return PermGroup(group.degree, elements, elements, points=group.points)
-
-
 class ClassFunction:
     """A class function, stored as one value per conjugacy class.
 
@@ -595,24 +577,6 @@ def leq_g(a, b, table=None):
     return ok
 
 
-def induce(x, big_group):
-    """Induce a class function from a subgroup to a containing group."""
-    h = x.group
-    for g in h.elements:
-        if g not in big_group:
-            raise NotASubgroup("class function's group is not a subgroup")
-    hset = h._element_set
-    values = []
-    for rep in big_group.class_reps:
-        total = Fraction(0)
-        for k in big_group.elements:
-            conj = k * rep * k.inverse()
-            if conj in hset:
-                total += Fraction(x.value_at(conj))
-        values.append(Fraction(total, h.order))
-    return ClassFunction(big_group, values)
-
-
 def check_action_closed(group, items, act):
     item_set = set(items)
     for g in group.generators:
@@ -666,11 +630,6 @@ def orbit_count(group, items, act, check=True):
     if count != len(orbits(group, items, act)):
         raise NonIntegerOrbitCount("Burnside count disagrees with orbit partition")
     return count
-
-
-def stabilizer(group, item, act):
-    """Stabilizer subgroup of one item."""
-    return subgroup(group, [g for g in group.elements if act(g, item) == item])
 
 
 def load_group(data, bound=DEFAULT_ORDER_BOUND):

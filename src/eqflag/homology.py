@@ -204,6 +204,36 @@ def _totient(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
+def element_traces(cc, g, dims, cache):
+    """Dict dim -> tr(g | H_dim) on the chain complex cc; cache maps each
+    cyclic subgroup to the Betti numbers of its fixed-point complex."""
+    powers = [tuple(range(len(g.images)))]
+    while True:
+        nxt = tuple(g.images[v] for v in powers[-1])
+        if nxt == powers[0]:
+            break
+        powers.append(nxt)
+    m = len(powers)
+    fixed = {}
+    for k in _divisors(m):
+        key = frozenset(powers[k * j % m] for j in range(m // k))
+        if key not in cache:
+            cache[key] = cc.fixed_betti(powers[k % m], dims)
+        fixed[k] = cache[key]
+    traces = {}
+    for dim in dims:
+        trace = 0
+        for e in _divisors(m):
+            total = sum(_mobius(e // k) * fixed[k][dim] for k in _divisors(e))
+            count, rest = divmod(total, _totient(e))
+            if rest or count < 0:
+                raise HomologyError(f"fixed-point Betti numbers in dimension {dim} "
+                                    f"do not invert to a representation of {g!r}")
+            trace += count * _mobius(e)
+        traces[dim] = trace
+    return traces
+
+
 def equivariant_homology_traces(faces, group, max_dim=None):
     """For each dimension, the trace of every class representative on H_dim.
 
@@ -216,32 +246,8 @@ def equivariant_homology_traces(faces, group, max_dim=None):
     if not dims:
         return {}
     cache = {}
-    values = {dim: [] for dim in dims}
-    for g in group.class_reps:
-        powers = [tuple(range(group.degree))]
-        while True:
-            nxt = tuple(g.images[v] for v in powers[-1])
-            if nxt == powers[0]:
-                break
-            powers.append(nxt)
-        m = len(powers)
-        fixed = {}
-        for k in _divisors(m):
-            key = frozenset(powers[k * j % m] for j in range(m // k))
-            if key not in cache:
-                cache[key] = cc.fixed_betti(powers[k % m], dims)
-            fixed[k] = cache[key]
-        for dim in dims:
-            trace = 0
-            for e in _divisors(m):
-                total = sum(_mobius(e // k) * fixed[k][dim] for k in _divisors(e))
-                count, rest = divmod(total, _totient(e))
-                if rest or count < 0:
-                    raise HomologyError(f"fixed-point Betti numbers in dimension {dim} "
-                                        f"do not invert to a representation of {g!r}")
-                trace += count * _mobius(e)
-            values[dim].append(trace)
-    return {dim: ClassFunction(group, values[dim]) for dim in dims}
+    per_rep = [element_traces(cc, g, dims, cache) for g in group.class_reps]
+    return {dim: ClassFunction(group, [t[dim] for t in per_rep]) for dim in dims}
 
 
 def hopf_trace_check(faces, group):

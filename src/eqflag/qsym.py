@@ -78,6 +78,52 @@ class QSymClassFunction:
         return f"QSym[{self.basis},deg {self.degree}]({terms})"
 
 
+def mask(s):
+    """The bitmask of a set of positive integers: i is bit i - 1."""
+    return sum(1 << (i - 1) for i in s)
+
+
+def unmask(m):
+    """The ascending tuple of a bitmask's elements."""
+    return tuple(i + 1 for i in range(m.bit_length()) if m >> i & 1)
+
+
+def submasks(m):
+    sub = m
+    while sub:
+        yield sub
+        sub = (sub - 1) & m
+    yield 0
+
+
+def add_scaled(total, scale, values):
+    for k, v in enumerate(values):
+        total[k] += scale * v
+
+
+def from_masks(degree, group, basis, rows):
+    """The QSymClassFunction whose coefficient on the subset of each bitmask
+    m has the class values rows[m], in `subsets` order."""
+    order = sorted(rows, key=lambda m: (m.bit_count(), unmask(m)))
+    return QSymClassFunction(degree, group, basis,
+                             {unmask(m): ClassFunction(group, rows[m]) for m in order})
+
+
+def _superset_sums(q, sign, basis):
+    """The coefficient of S in the result is the sum over T <= S of
+    sign^|S - T| times the coefficient of T in q.  Only supersets of the
+    nonzero coefficients can be nonzero, so each is pushed to its supersets
+    inside [n-1]."""
+    full = (1 << (q.degree - 1)) - 1
+    sums = {}
+    for t, cf in q.coeffs.items():
+        m = mask(t)
+        for sub in submasks(full & ~m):
+            add_scaled(sums.setdefault(m | sub, [0] * q.group.num_classes),
+                       sign ** sub.bit_count(), cf.values)
+    return from_masks(q.degree, q.group, basis, sums)
+
+
 def m_to_f(q):
     """Rewrite from the monomial to the fundamental basis.
 
@@ -86,30 +132,14 @@ def m_to_f(q):
     """
     if q.basis != "M":
         raise BasisMismatch("m_to_f needs an M-basis input")
-    out = {}
-    for s in subsets(range(1, q.degree)):
-        total = ClassFunction.zero(q.group)
-        for t in subsets(s):
-            c = q.coeffs.get(tuple(t))
-            if c is not None:
-                total = total + ((-1) ** (len(s) - len(t))) * c
-        out[s] = total
-    return QSymClassFunction(q.degree, q.group, "F", out)
+    return _superset_sums(q, -1, "F")
 
 
 def f_to_m(q):
     """Rewrite from the fundamental to the monomial basis."""
     if q.basis != "F":
         raise BasisMismatch("f_to_m needs an F-basis input")
-    out = {}
-    for t in subsets(range(1, q.degree)):
-        total = ClassFunction.zero(q.group)
-        for s in subsets(t):
-            c = q.coeffs.get(tuple(s))
-            if c is not None:
-                total = total + c
-        out[t] = total
-    return QSymClassFunction(q.degree, q.group, "M", out)
+    return _superset_sums(q, 1, "M")
 
 
 class PolyClassFunction:

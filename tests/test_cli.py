@@ -104,6 +104,21 @@ class TestExitCodes:
         assert code == 0 and len(report["complex"]["faces"]) == 8192
         assert time.perf_counter() - t0 < 10.0
 
+    @pytest.mark.parametrize("basis", ["m", "f"])
+    def test_colour_count_is_capped(self, capsys, tmp_path, basis):
+        # a void complex: only the number of colours is large
+        for num_colors, expect in ((20, 0), (21, 2)):
+            data = {"vertices": [], "colors": {}, "num_colors": num_colors, "faces": []}
+            t0 = time.perf_counter()
+            code, report = run_json(capsys, "hilb", "--complex",
+                                    write(tmp_path, "void.json", data), "--basis", basis)
+            assert code == expect
+            assert time.perf_counter() - t0 < 2.0
+            if expect == 0:
+                assert report["hilb"]["degree"] == 21 and report["hilb"]["terms"] == []
+            else:
+                assert "more than 20 colors" in report["error"]
+
     def test_chromatic_checks_size_cap_first(self, capsys, tmp_path):
         graph = write(tmp_path, "iso13.json", isolated(13))
         t0 = time.perf_counter()

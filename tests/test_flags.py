@@ -1,9 +1,12 @@
 """Flag f/h characters, Hilb expansions, h_{S,T}, and the theorem verifiers.
 
-The one-pass fiber tables are checked against the path they replaced, which
-rescans every face for every color set.
+The fixed-point tables are checked against the paths they replaced: one
+rescans every face for every color set, and the homology form of h_{S,T}
+induces the homology characters of one link per orbit from its stabilizer.
 """
-from itertools import combinations
+import time
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +14,58 @@ from hypothesis import strategies as st
 
 from conftest import fig1_complex, fig1_z2
 
-from eqflag.complexes import GroupAction, color_automorphism_group
-from eqflag.corpus import random_complex, random_complexes
-from eqflag.flags import (FlagVectors, h_st, hilb, homology_h_st, orbital_hilb,
-                          verify_eulerchar2, verify_intro1, verify_intro2,
-                          verify_intro3)
-from eqflag.groups import (ClassFunction, character_table, close_group, induce,
-                           is_effective, orbits, permutation_character, stabilizer)
+from eqflag.complexes import ColoredRelativeComplex, GroupAction, color_automorphism_group
+from eqflag.corpus import random_complex, random_complexes, small_mixed_graphs
+from eqflag.flags import (FlagVectors, fibers, h_st, hilb, homology_h_st,
+                          orbital_hilb, verify_eulerchar2, verify_intro1,
+                          verify_intro2, verify_intro3)
+from eqflag.groups import (ClassFunction, GroupError, PermGroup, Permutation,
+                           character_table, close_group, is_effective, orbits,
+                           permutation_character)
+from eqflag.homology import equivariant_homology_traces
+from eqflag.mixedgraph import coloring_complex
 from eqflag.qsym import principal_specialization, subsets
 from eqflag.serre import serre_depth
+
+
+class NotASubgroup(GroupError):
+    pass
+
+
+def subgroup(group, elements):
+    """Wrap a subset of a group's elements (assumed closed) as a PermGroup."""
+    elements = list(elements)
+    elset = set(elements)
+    for g in elements:
+        if g not in group:
+            raise NotASubgroup("element outside the parent group")
+    for g in elements:
+        for h in elements:
+            if g * h not in elset:
+                raise NotASubgroup("element set is not closed under multiplication")
+    return PermGroup(group.degree, elements, elements, points=group.points)
+
+
+def stabilizer(group, item, act):
+    """Stabilizer subgroup of one item."""
+    return subgroup(group, [g for g in group.elements if act(g, item) == item])
+
+
+def induce(x, big_group):
+    """Induce a class function from a subgroup to a containing group."""
+    h = x.group
+    for g in h.elements:
+        if g not in big_group:
+            raise NotASubgroup("class function's group is not a subgroup")
+    values = []
+    for rep in big_group.class_reps:
+        total = Fraction(0)
+        for k in big_group.elements:
+            conj = k * rep * k.inverse()
+            if conj in h:
+                total += Fraction(x.value_at(conj))
+        values.append(Fraction(total, h.order))
+    return ClassFunction(big_group, values)
 
 
 def fiber(faces, coloring, s):
@@ -66,6 +112,64 @@ def h_st_by_rescan(cx, action, s, t):
         via_c = via_c + induce(h_character(in_s, coloring, stab, s), g)
     assert via_a == via_b == via_c
     return via_a
+
+
+def transversal_links(cx, g, s, t):
+    """(stabilizer of tau, the color-S part of the link of tau) for one tau
+    in each g-orbit of the (T\\S)-fiber of Delta."""
+    fib = fibers(cx.delta, cx.coloring).get(t - s, [])
+    for orb in orbits(g, fib, lambda p, f: p.apply_set(f)):
+        tau = min(orb, key=sorted)
+        link = [f for f in cx.links[tau] if frozenset(cx.coloring[v] for v in f) <= s]
+        yield stabilizer(g, tau, lambda p, f: p.apply_set(f)), link
+
+
+def homology_h_st_by_induction(cx, action, s, t):
+    """h_{S,T} in homology form: the top homology character of the color-S
+    part of one link per orbit, induced from the stabilizer of its face."""
+    s, t = frozenset(s), frozenset(t)
+    g = action.group
+    total = ClassFunction.zero(g)
+    for stab, link in transversal_links(cx, g, s, t):
+        traces = equivariant_homology_traces(link, stab)
+        total = total + induce(traces.get(len(s) - 1, ClassFunction.zero(stab)), g)
+    return total
+
+
+def complete_join(blocks, facets_only=False):
+    """Every color transversal (or only the full ones) on blocks of the given
+    sizes; its color automorphism group has order prod(size!)."""
+    by_color, coloring = [], []
+    for c, size in enumerate(blocks, 1):
+        by_color.append(range(len(coloring), len(coloring) + size))
+        coloring += [c] * size
+    sizes = [len(blocks)] if facets_only else range(len(blocks) + 1)
+    faces = [frozenset(f) for r in sizes
+             for cs in combinations(by_color, r) for f in product(*cs)]
+    return ColoredRelativeComplex([f"v{i}" for i in range(len(coloring))], coloring,
+                                  len(blocks), faces)
+
+
+JOINS = [(3, 2, 2), (3, 3, 2), (2, 2, 2, 2), (4, 2), (3,)]
+
+
+def oracle_corpus():
+    """random_complexes(200, seed=0), the compiled small-graph complexes,
+    and the complete joins above, full and facets only."""
+    yield from random_complexes(200, seed=0)
+    for g in small_mixed_graphs(4):
+        yield coloring_complex(g)[0]
+    for blocks in JOINS:
+        yield complete_join(blocks)
+        yield complete_join(blocks, facets_only=True)
+
+
+def assert_homology_matches_induction(cx, action):
+    for t in subsets(range(1, cx.d + 1)):
+        for s in subsets(t):
+            sub, whole = frozenset(s), frozenset(t)
+            assert (homology_h_st(cx, action, sub, whole)
+                    == homology_h_st_by_induction(cx, action, sub, whole)), (s, t)
 
 
 def assert_flags_match_rescan(cx):
@@ -169,13 +273,95 @@ class TestHst:
 
 class TestAgainstRescan:
     def test_corpus(self):
-        for cx in random_complexes(60, seed=0):
+        for cx in oracle_corpus():
             assert_flags_match_rescan(cx)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_random_complexes(self, rng):
         assert_flags_match_rescan(random_complex(rng, 1, 4))
+
+
+class TestAgainstInduction:
+    def test_corpus(self):
+        for cx in oracle_corpus():
+            assert_homology_matches_induction(cx, GroupAction(cx, color_automorphism_group(cx)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_complexes(self, rng):
+        cx = random_complex(rng, 1, 4)
+        assert_homology_matches_induction(cx, GroupAction(cx, color_automorphism_group(cx)))
+
+
+class TestFlagTable:
+    def test_one_table_per_action(self):
+        cx = fig1_complex()
+        z2 = GroupAction(cx, fig1_z2())
+        trivial = GroupAction(cx, close_group([], degree=5))
+        assert z2.flag_table is z2.flag_table
+        assert z2.flag_table is not trivial.flag_table
+        for action in (z2, trivial):
+            g = action.group
+            fv = FlagVectors(cx, action)
+            for t in subsets(range(1, 4)):
+                assert fv.fS[t] == fiber_character(cx.faces, cx.coloring, g, t)
+                for s in subsets(t):
+                    sub, whole = frozenset(s), frozenset(t)
+                    assert h_st(cx, action, sub, whole) == h_st_by_rescan(cx, action, sub, whole)
+                    assert (homology_h_st(cx, action, sub, whole)
+                            == homology_h_st_by_induction(cx, action, sub, whole))
+        # the identity column is the same under both groups
+        assert ({s: cf.at_identity for s, cf in FlagVectors(cx, z2).hS.items()}
+                == {s: cf.at_identity for s, cf in FlagVectors(cx, trivial).hS.items()})
+
+    @pytest.mark.parametrize("cx", [
+        fig1_complex(),
+        ColoredRelativeComplex([], [], 3, []),
+        ColoredRelativeComplex(["a", "b"], [1, 2], 2, [{0}, {0, 1}, {1}, set()]),
+    ], ids=["fig1", "void", "edge"])
+    def test_every_key_and_int_values(self, cx):
+        action = GroupAction(cx, color_automorphism_group(cx))
+        fv = FlagVectors(cx, action)
+        keys = list(subsets(range(1, cx.d + 1)))
+        assert list(fv.fS) == keys and list(fv.hS) == keys and len(keys) == 2 ** cx.d
+        values = [v for cf in [*fv.fS.values(), *fv.hS.values()] for v in cf.values]
+        for t in keys:
+            for s in subsets(t):
+                values += h_st(cx, action, frozenset(s), frozenset(t)).values
+        assert values and all(type(v) is int for v in values)
+
+    def test_intro1_on_a_large_group(self):
+        # the complete join 3,3,3 has colour group S_3 x S_3 x S_3, order 216
+        cx = complete_join((3, 3, 3))
+        action = GroupAction(cx, color_automorphism_group(cx))
+        table = character_table(action.group)
+        assert action.group.order == 216
+        t0 = time.perf_counter()
+        r = verify_intro1(cx, action, serre_depth(cx), table)
+        assert r["ok"] and r["checked"] == 27
+        assert time.perf_counter() - t0 < 2.0
+
+
+class TestInduce:
+    def test_subgroup_closure_checked(self):
+        g = close_group([Permutation([1, 0, 2]), Permutation([1, 2, 0])], degree=3)
+        with pytest.raises(NotASubgroup):
+            subgroup(g, [g.identity, Permutation([1, 2, 0])])
+
+    def test_induce_trivial_gives_permutation_character(self):
+        # [DERIVED: induction from the point stabilizer = natural character]
+        g = close_group([Permutation([1, 0, 2]), Permutation([1, 2, 0])], degree=3)
+        stab = stabilizer(g, 2, lambda p, x: p(x))
+        ind = induce(ClassFunction.trivial(stab), g)
+        nat = permutation_character(g, [0, 1, 2], lambda p, x: p(x))
+        assert ind == nat
+
+    def test_induce_degree(self):
+        g = close_group([Permutation([1, 0, 2, 3]), Permutation([0, 1, 3, 2])], degree=4)
+        sub = subgroup(g, [g.identity, Permutation([1, 0, 2, 3])])
+        ind = induce(ClassFunction.trivial(sub), g)
+        assert ind.at_identity == g.order // 2
 
 
 class TestVerifiers:

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from eqflag.groups import (ClassFunction, NonIntegerOrbitCount, OrderBoundExceeded,
                            Permutation, character_table, close_group, decompose,
-                           induce, inner_product, is_effective, leq_g, load_group,
-                           orbit_count, orbits, permutation_character, stabilizer,
-                           subgroup)
+                           inner_product, is_effective, leq_g, load_group,
+                           orbit_count, orbits, permutation_character)
 
 
 def s3():
@@ -58,12 +57,6 @@ class TestCloseGroup:
     def test_order_bound(self):
         with pytest.raises(OrderBoundExceeded):
             close_group([Permutation([1, 2, 3, 4, 0])], degree=5, bound=3)
-
-    def test_subgroup_closure_checked(self):
-        from eqflag.groups import NotASubgroup
-        g = s3()
-        with pytest.raises(NotASubgroup):
-            subgroup(g, [g.identity, Permutation([1, 2, 0])])
 
 
 class TestCharacterTable:
@@ -114,22 +107,6 @@ class TestCharacterTable:
         triv = ClassFunction.trivial(g)
         assert is_effective(sgn)[0]
         assert not is_effective(sgn - triv)[0]
-
-
-class TestInduce:
-    def test_induce_trivial_gives_permutation_character(self):
-        # [DERIVED: induction from the point stabilizer = natural character]
-        g = s3()
-        stab = stabilizer(g, 2, lambda p, x: p(x))
-        ind = induce(ClassFunction.trivial(stab), g)
-        nat = permutation_character(g, [0, 1, 2], lambda p, x: p(x))
-        assert ind == nat
-
-    def test_induce_degree(self):
-        g = z2x2()
-        sub = subgroup(g, [g.identity, Permutation([1, 0, 2, 3])])
-        ind = induce(ClassFunction.trivial(sub), g)
-        assert ind.at_identity == g.order // 2
 
 
 class TestOrbits:
