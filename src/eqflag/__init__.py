@@ -17,8 +17,8 @@ from .groups import (ClassFunction, CharacterTable, PermGroup, Permutation,
 from .homology import (ChainComplex, betti, equivariant_homology_traces,
                        homology_vanishes_up_to, hopf_trace_check)
 from .mixedgraph import (MixedGraph, chromatic_qsym, coloring_complex,
-                         load_graph, order_ideals, verify_graphtocomplex,
-                         verify_mixedgraph_theorem)
+                         level_chain_qsym, load_graph, order_ideals,
+                         verify_graphtocomplex, verify_mixedgraph_theorem)
 from .qsym import (PolyClassFunction, QSymClassFunction, f_to_m,
                    is_effectively_flawless, is_strongly_flawless, m_to_f,
                    principal_specialization, shifted_flawless_check)

@@ -13,7 +13,7 @@ from itertools import product
 
 from .groups import DEFAULT_ORDER_BOUND, automorphism_search, close_group
 from .mixedgraph import (MixedGraph, SizeBound, chromatic_qsym,
-                         ordered_set_partitions, partitions_to_qsym)
+                         level_chain_qsym)
 
 
 class PosetError(Exception):
@@ -28,6 +28,8 @@ def _closure(n, pairs):
     """Reflexive-transitive closure as a boolean matrix."""
     leq = [[i == j for j in range(n)] for i in range(n)]
     for a, b in pairs:
+        if a not in range(n) or b not in range(n):
+            raise PosetError(f"relation ({a}, {b}) leaves 0..{n - 1}")
         leq[a][b] = True
     for k in range(n):
         for i in range(n):
@@ -125,29 +127,16 @@ def omega_qsym(dp, group=None):
     """The D-partition quasisymmetric class function, degree n, M basis.
 
     The M-coefficient of a subset counts fixed surjective D-partitions whose
-    level-set sizes form the matching composition; enumeration goes through
-    ordered set partitions.
+    level-set sizes form the matching composition: the level chains of
+    `level_chain_qsym` with the inversions apart and the strict first-order
+    pairs as arcs.
     """
     if dp.n > 10:
         raise SizeBound("capped at 10 elements")
     if group is None:
         group = close_group([], degree=dp.n)
-    inv = dp.inversions()
     rel1 = [(a, b) for a in range(dp.n) for b in range(dp.n) if dp.lt1(a, b)]
-
-    def valid_block(block, remaining_after):
-        # weakly increasing along the first order across blocks,
-        # strictly increasing on inversions
-        for a, b in inv:
-            if a in block and b in block:
-                return False
-        for a, b in rel1:
-            if b in block and a in remaining_after:
-                return False
-        return True
-
-    parts = ordered_set_partitions(dp.n, valid_block)
-    return partitions_to_qsym(parts, dp.n, group)
+    return level_chain_qsym(dp.n, dp.inversions(), rel1, group)
 
 
 def to_mixed_graph(dp):

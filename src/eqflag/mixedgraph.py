@@ -10,13 +10,13 @@ directed edges can all be traversed forward going around once.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 from .complexes import (MAX_VERTICES, ColoredRelativeComplex, GroupAction,
                         InvalidComplex)
-from .groups import (DEFAULT_ORDER_BOUND, ClassFunction, PermGroup, Permutation,
+from .groups import (DEFAULT_ORDER_BOUND, PermGroup, Permutation,
                      automorphism_search, close_group)
-from .qsym import QSymClassFunction
+from .qsym import from_masks
 
 MAX_CYCLE_VERTICES = 12
 MAX_QSYM_VERTICES = 10
@@ -48,6 +48,9 @@ class MixedGraph:
         for e in self.U:
             if len(e) != 2:
                 raise GraphError(f"undirected edge {set(e)} is not a pair")
+        for e in (*self.U, *self.D):
+            if any(v not in range(self.n) for v in e):
+                raise GraphError(f"edge {tuple(e)} leaves 0..{self.n - 1}")
         for u, v in self.D:
             if u == v:
                 raise GraphError("self-loop")
@@ -174,12 +177,20 @@ class MixedGraph:
         return len(self.weak_colorings(k, perm))
 
     def chrom_min(self):
-        """Least k admitting a weak coloring; None if no k up to n works."""
-        for k in range(1, self.n + 1):
-            if k ** self.n > 10 ** 8:
-                break
-            if any(True for _ in self.weak_colorings(k)):
+        """Least k admitting a weak coloring, None if there is none: the
+        fewest steps of a level chain (see `level_chain_qsym`), found by a
+        breadth-first search over the prefix sets."""
+        if self.n > MAX_CYCLE_VERTICES:
+            raise SizeBound(f"capped at {MAX_CYCLE_VERTICES} vertices")
+        _, steps = _step_rule([(v,) for v in range(self.n)], self.U, self.D)
+        full = (1 << self.n) - 1
+        level, seen, k = {0}, {0}, 0
+        while level:
+            if full in level:
                 return k
+            level = {j for i in level for j in steps(i) if j not in seen}
+            seen |= level
+            k += 1
         return None
 
     def automorphism_group(self, bound=DEFAULT_ORDER_BOUND):
@@ -191,71 +202,83 @@ class MixedGraph:
         return f"MixedGraph(n={self.n}, |U|={len(self.U)}, |D|={len(self.D)})"
 
 
-def ordered_set_partitions(n, valid_block):
-    """Ordered set partitions of 0..n-1 into nonempty blocks, pruned by
-    valid_block(block, remaining_after).  Yields tuples of frozensets."""
-    def rec(remaining, acc):
-        if not remaining:
-            yield tuple(acc)
-            return
-        rem = sorted(remaining)
-        for r in range(1, len(rem) + 1):
-            for chosen in combinations(rem, r):
-                block = frozenset(chosen)
-                rest = remaining - block
-                if valid_block(block, rest):
-                    acc.append(block)
-                    yield from rec(rest, acc)
-                    acc.pop()
+def _step_rule(blocks, apart, arcs):
+    """The steps of level chains whose prefixes are unions of `blocks`, the
+    disjoint vertex tuples covering 0..n-1; a set of blocks is a bitmask B
+    over their indices.  Returns (vmask, steps): vmask[B] is the vertex
+    bitmask of B, and steps(I) yields every J > I such that I -> J is a step:
+    J - I holds no `apart` pair, and J holds u for each arc (u, v) with v in
+    J."""
+    n = sum(map(len, blocks))
+    conflict, pred = [0] * n, [0] * n
+    for u, v in apart:
+        conflict[u] |= 1 << v
+        conflict[v] |= 1 << u
+    for u, v in arcs:
+        pred[v] |= 1 << u
+    vmask = [0] * (1 << len(blocks))
+    cmask, pmask = vmask[:], vmask[:]
+    for b in range(1, len(vmask)):
+        low = b & -b
+        vmask[b], cmask[b], pmask[b] = vmask[b ^ low], cmask[b ^ low], pmask[b ^ low]
+        for v in blocks[low.bit_length() - 1]:
+            vmask[b] |= 1 << v
+            cmask[b] |= conflict[v]
+            pmask[b] |= pred[v]
 
-    yield from rec(frozenset(range(n)), [])
+    def steps(i):
+        rest = sub = (len(vmask) - 1) & ~i
+        while sub:
+            if not (cmask[sub] & vmask[sub] or pmask[sub] & ~vmask[i | sub]):
+                yield i | sub
+            sub = (sub - 1) & rest
 
-
-def partitions_to_qsym(parts, n, group):
-    """Aggregate level-set sequences into a degree-n M-basis class function.
-
-    The subset key is the partial-sum encoding of the block-size composition;
-    the per-class value counts sequences whose every block is fixed setwise.
-    """
-    counts = {}
-    for part in parts:
-        sizes = [len(b) for b in part]
-        s = tuple(sizes[0] + sum(sizes[1:i]) for i in range(1, len(sizes)))
-        key = counts.setdefault(s, [0] * group.num_classes)
-        for k, rep in enumerate(group.class_reps):
-            if all(rep.apply_set(b) == b for b in part):
-                key[k] += 1
-    coeffs = {s: ClassFunction(group, vals) for s, vals in counts.items()}
-    return QSymClassFunction(n, group, "M", coeffs)
+    return vmask, steps
 
 
-def _ordered_partitions(g):
-    """Level-set sequences of weak colorings of a mixed graph: no undirected
-    edge inside a block, every directed edge pointing weakly forward."""
-    def valid_block(block, remaining_after):
-        for e in g.U:
-            if e <= block:
-                return False
-        for u, v in g.D:
-            if v in block and u in remaining_after:
-                return False
-        return True
-
-    yield from ordered_set_partitions(g.n, valid_block)
+def level_chain_qsym(n, apart, arcs, group):
+    """The M-basis class function of level chains: chains of vertex sets from
+    the empty set to 0..n-1 whose steps are those of `_step_rule`.  They are
+    the level-set sequences of the maps f onto some 1..k with f(u) != f(v) on
+    apart pairs and f(u) <= f(v) on arcs.  The coefficient of S counts, per
+    conjugacy class, the fixed chains whose proper nonempty prefix sizes are
+    S; a chain is fixed by g exactly when each prefix is a union of cycles
+    of g (Stanley, EC1 2nd ed., section 3.15), so one dynamic program over
+    those unions per class representative counts them, keyed by the bitmask
+    of S (size s at bit s - 1)."""
+    rows = {}
+    for k, rep in enumerate(group.class_reps):
+        vmask, steps = _step_rule(rep.cycles(), apart, arcs)
+        counts = [{} for _ in vmask]
+        counts[0][0] = 1
+        for i in range(len(vmask) - 1):
+            here, counts[i] = counts[i], None
+            if here and i:
+                bit = 1 << (vmask[i].bit_count() - 1)
+                here = {key | bit: c for key, c in here.items()}
+            for j in steps(i) if here else ():
+                there = counts[j]
+                for key, c in here.items():
+                    there[key] = there.get(key, 0) + c
+        for m, count in counts[-1].items():
+            rows.setdefault(m, [0] * group.num_classes)[k] = count
+    return from_masks(n, group, "M", rows)
 
 
 def chromatic_qsym(g, group=None):
     """The weak-coloring quasisymmetric class function, degree n, M basis.
 
     The M-coefficient of the subset S encoding the composition
-    (s1, s2-s1, ..., n-sk) counts, per conjugacy class, the fixed ordered
-    set partitions with those block sizes.
+    (s1, s2-s1, ..., n-sk) counts, per conjugacy class, the fixed weak
+    colorings onto [k+1] with those level-set sizes: the level chains of
+    `level_chain_qsym` with the undirected edges apart and the directed
+    edges as arcs.
     """
     if g.n > MAX_QSYM_VERTICES:
         raise SizeBound(f"capped at {MAX_QSYM_VERTICES} vertices")
     if group is None:
         group = close_group([], degree=g.n)
-    return partitions_to_qsym(_ordered_partitions(g), g.n, group)
+    return level_chain_qsym(g.n, g.U, g.D, group)
 
 
 def order_ideals(g):
@@ -269,27 +292,14 @@ def _ideals_by_size(g):
     time from the ideals one smaller, so that a caller can stop early."""
     if not g.is_acyclic():
         raise NotAcyclic("directed part has a cycle")
-    below = {v: set() for v in range(g.n)}  # below[v] = {u: u <= v}
-    closure = {v: {v} for v in range(g.n)}
-    changed = True
-    adj = {v: [w for (u, w) in g.D if u == v] for v in range(g.n)}
-    while changed:
-        changed = False
-        for v in range(g.n):
-            for w in adj[v]:
-                new = closure[v] | closure[w]
-                if new != closure[v]:
-                    closure[v] = new
-                    changed = True
-    # closure[v] = everything above v; invert
-    for v in range(g.n):
-        for w in closure[v]:
-            below[w].add(v)
+    # an ideal holds the predecessors of its predecessors, so adding v keeps
+    # it an ideal once the direct predecessors of v are in it
+    pred = {v: {u for u, w in g.D if w == v} for v in range(g.n)}
     layer = [frozenset()]
     while layer:
         yield from layer
         grown = {i | {v} for i in layer for v in range(g.n)
-                 if v not in i and below[v] <= i | {v}}
+                 if v not in i and pred[v] <= i}
         layer = sorted(grown, key=sorted)
 
 

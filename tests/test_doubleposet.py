@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import DATA, fig2_dposet, fig3_dposet
 
-from eqflag.doubleposet import (DoublePoset, NotAPartialOrder, load_double_poset,
-                                omega_qsym, to_mixed_graph,
+from eqflag.doubleposet import (DoublePoset, NotAPartialOrder, PosetError,
+                                load_double_poset, omega_qsym, to_mixed_graph,
                                 verify_doubleposet_theorems)
 from eqflag.corpus import random_double_posets, tertispecial_double_posets
 from eqflag.mixedgraph import chromatic_qsym
@@ -24,6 +24,11 @@ class TestStructure:
     def test_antisymmetry_enforced(self):
         with pytest.raises(NotAPartialOrder):
             DoublePoset("ab", [(0, 1), (1, 0)], [])
+
+    def test_relation_out_of_range(self):
+        for rel1, rel2 in (([(0, 5)], []), ([], [(-1, 2)])):
+            with pytest.raises(PosetError, match="leaves"):
+                DoublePoset(range(3), rel1, rel2)
 
     def test_fig2_inversions_descents(self):
         dp = fig2_dposet()

@@ -51,6 +51,11 @@ class TestColorings:
         with pytest.raises(GraphError, match="both"):
             MixedGraph(["u", "v"], [(0, 1)], [(0, 1)])
 
+    def test_edge_endpoints_out_of_range(self):
+        for und, dire in (([(0, 5)], []), ([], [(1, -1)]), ([(0, 5)], [(1, -1)])):
+            with pytest.raises(GraphError, match="leaves"):
+                MixedGraph(range(3), und, dire)
+
 
 class TestCycles:
     def test_triangle_one_directed(self):
